@@ -54,21 +54,28 @@ def point_biserial(
     p = sum(1 for flag in correct_flags if flag) / n
     if p in (0.0, 1.0):
         return 0.0
-    mean = sum(total_scores) / n
-    variance = sum((score - mean) ** 2 for score in total_scores) / n
+    # the statistic is scale-invariant: scaling to max |score| = 1 keeps
+    # tiny scores from underflowing when squared
+    scale = max(abs(score) for score in total_scores)
+    if scale == 0:
+        return 0.0
+    scores = [score / scale for score in total_scores]
+    mean = sum(scores) / n
+    variance = sum((score - mean) ** 2 for score in scores) / n
     if variance == 0:
         return 0.0
     mean_correct = (
-        sum(score for flag, score in zip(correct_flags, total_scores) if flag)
+        sum(score for flag, score in zip(correct_flags, scores) if flag)
         / (p * n)
     )
     mean_wrong = (
-        sum(score for flag, score in zip(correct_flags, total_scores) if not flag)
+        sum(score for flag, score in zip(correct_flags, scores) if not flag)
         / ((1 - p) * n)
     )
-    return (mean_correct - mean_wrong) * math.sqrt(p * (1 - p)) / math.sqrt(
+    r = (mean_correct - mean_wrong) * math.sqrt(p * (1 - p)) / math.sqrt(
         variance
     )
+    return max(-1.0, min(1.0, r))
 
 
 @dataclass(frozen=True)

@@ -167,17 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--state", metavar="PATH", default=None,
-        help=(
-            "LMS state file: loaded at startup when it exists, written "
-            "atomically on snapshots and at shutdown"
-        ),
-    )
-    serve.add_argument(
-        "--snapshot-interval", type=float, default=None, metavar="SECONDS",
-        help="take a periodic snapshot to --state every SECONDS",
-    )
-    serve.add_argument(
         "--max-in-flight", type=int, default=64,
         help="requests in service before 503 backpressure kicks in",
     )
@@ -187,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
             "durable event journal directory: every mutation is "
             "write-ahead logged before its response is acknowledged, and "
             "startup recovers the pre-crash state from the newest "
-            "checkpoint plus the log (mutually exclusive with --state)"
+            "checkpoint plus the log; without it the LMS lives in memory"
         ),
     )
     serve.add_argument(
@@ -197,14 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
             "WAL fsync policy: always = flush disk per record, interval "
             "= coalesced fsyncs (default; still SIGKILL-safe), never = "
             "OS page cache only"
-        ),
-    )
-    serve.add_argument(
-        "--wal-format", type=int, choices=(1, 2), default=2,
-        help=(
-            "wire format for NEW WAL segments: 1 = JSON lines, 2 = "
-            "compact binary (default); existing segments of either "
-            "format are read transparently"
         ),
     )
     serve.add_argument(
@@ -502,19 +483,10 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import os
+    import signal
 
-    from repro.lms.lms import Lms
-    from repro.lms.persistence import load_lms
     from repro.server.app import ExamServer
 
-    if args.state is not None and args.wal_dir is not None:
-        print(
-            "--state and --wal-dir are mutually exclusive: pick periodic "
-            "snapshots or the write-ahead journal",
-            file=sys.stderr,
-        )
-        return 2
     if args.readmodel and args.wal_dir is None:
         print(
             "--readmodel tails the event journal; it requires --wal-dir",
@@ -523,25 +495,14 @@ def _cmd_serve(args) -> int:
         return 2
     if args.workers > 1:
         return _serve_cluster(args)
-    if args.wal_dir is not None:
-        # lms=None → ExamServer recovers from the newest checkpoint +
-        # WAL suffix before serving
-        lms = None
-    elif args.state is not None and os.path.exists(args.state):
-        lms = load_lms(args.state)
-        print(f"restored LMS state from {args.state}", file=sys.stderr)
-    else:
-        lms = Lms()
+    # with --wal-dir the server recovers from the newest checkpoint +
+    # WAL suffix before serving; without it, it starts empty in memory
     server = ExamServer(
-        lms,
         host=args.host,
         port=args.port,
         max_in_flight=args.max_in_flight,
-        snapshot_path=args.state,
-        snapshot_interval_seconds=args.snapshot_interval,
         wal_dir=args.wal_dir,
         fsync=args.fsync,
-        wal_format=args.wal_format,
         group_commit=args.group_commit,
         checkpoint_interval_seconds=args.checkpoint_interval,
         readmodel=args.readmodel,
@@ -549,6 +510,9 @@ def _cmd_serve(args) -> int:
     if server.recovery_report is not None:
         print(server.recovery_report.summary(), file=sys.stderr)
     print(f"serving on {server.url}", flush=True)
+    # SIGTERM (what process supervisors send) takes the ^C path: drain
+    # in-flight requests, take the final checkpoint, exit 0
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -561,20 +525,12 @@ def _serve_cluster(args) -> int:
     """serve --workers N: the sharded multi-process delivery tier."""
     from repro.cluster.supervisor import ExamCluster
 
-    if args.state is not None or args.snapshot_interval is not None:
-        print(
-            "--workers runs each shard on its own WAL; --state / "
-            "--snapshot-interval snapshots are single-process only",
-            file=sys.stderr,
-        )
-        return 2
     cluster = ExamCluster(
         workers=args.workers,
         host=args.host,
         front_port=args.port,
         wal_root=args.wal_dir,
         fsync=args.fsync,
-        wal_format=args.wal_format,
         group_commit=args.group_commit,
         max_in_flight=args.max_in_flight,
         checkpoint_interval_seconds=args.checkpoint_interval,

@@ -55,7 +55,6 @@ class WorkerSpec:
     replicas: int = DEFAULT_REPLICAS
     wal_dir: Optional[str] = None
     fsync: str = "interval"
-    wal_format: int = 2
     group_commit: bool = False
     max_in_flight: int = 64
     checkpoint_interval_seconds: Optional[float] = None
@@ -81,7 +80,6 @@ def _worker_main(spec: WorkerSpec) -> None:
         port=spec.direct_port,
         wal_dir=spec.wal_dir,
         fsync=spec.fsync,
-        wal_format=spec.wal_format,
         group_commit=spec.group_commit,
         max_in_flight=spec.max_in_flight,
         checkpoint_interval_seconds=spec.checkpoint_interval_seconds,
@@ -119,7 +117,6 @@ class ExamCluster:
         front_port: int = 0,
         wal_root: Optional["str | Path"] = None,
         fsync: str = "interval",
-        wal_format: int = 2,
         group_commit: bool = False,
         max_in_flight: int = 64,
         checkpoint_interval_seconds: Optional[float] = None,
@@ -172,7 +169,6 @@ class ExamCluster:
                 replicas=replicas,
                 wal_dir=wal_dir,
                 fsync=fsync,
-                wal_format=wal_format,
                 group_commit=group_commit,
                 max_in_flight=max_in_flight,
                 checkpoint_interval_seconds=checkpoint_interval_seconds,

@@ -137,7 +137,15 @@ def split_half_reliability(
     return 2.0 * r / (1.0 + r)
 
 
+def _unit_scaled(values: Sequence[float]) -> List[float]:
+    """``values`` over their largest magnitude, so squaring them cannot
+    underflow; correlations are scale-invariant."""
+    scale = max(abs(value) for value in values)
+    return [value / scale for value in values] if scale else list(values)
+
+
 def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
+    xs, ys = _unit_scaled(xs), _unit_scaled(ys)
     n = len(xs)
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
@@ -148,4 +156,4 @@ def _pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise AnalysisError(
             "a half-test has zero score variance; split-half is undefined"
         )
-    return cov / math.sqrt(var_x * var_y)
+    return max(-1.0, min(1.0, cov / math.sqrt(var_x * var_y)))

@@ -17,16 +17,14 @@ in-process API doesn't have:
   rejected counters and an in-flight gauge, rendered by ``/metrics``;
 * **graceful shutdown** — :meth:`ExamServer.shutdown` stops accepting,
   then drains requests already in flight before returning;
-* **snapshotting** — optional periodic (and on-demand, via
-  ``POST /admin/snapshot``) atomic :func:`~repro.lms.persistence.
-  save_lms` of the LMS state;
 * **durability** — with ``wal_dir`` set, every LMS mutation is appended
   to a :class:`~repro.store.journal.Journal` before its response is
   acknowledged; boot recovers the pre-crash state from the newest
   checkpoint plus the WAL suffix (:func:`repro.store.recover`), a
   background :class:`~repro.store.checkpoint.Checkpointer` (and
   ``POST /admin/checkpoint``) compacts the log, and shutdown takes a
-  final checkpoint before closing the journal.
+  final checkpoint before closing the journal.  The WAL is the only
+  persistence; without ``wal_dir`` the LMS lives in memory.
 
 Usage::
 
@@ -310,14 +308,11 @@ class ExamServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        snapshot_path: Optional["str | Path"] = None,
-        snapshot_interval_seconds: Optional[float] = None,
         registry: Optional["obs.Registry"] = None,
         max_body_bytes: int = 8 * 1024 * 1024,
         sample_every: int = 1,
         wal_dir: Optional["str | Path"] = None,
         fsync: str = "interval",
-        wal_format: int = 2,
         group_commit: bool = False,
         checkpoint_interval_seconds: Optional[float] = None,
         max_batch_answers: int = 500,
@@ -346,7 +341,6 @@ class ExamServer:
             self.journal = Journal.open(
                 self.wal_dir,
                 fsync=fsync,
-                format=wal_format,
                 group_commit=group_commit,
                 registry=registry,
             )
@@ -387,13 +381,7 @@ class ExamServer:
         if self.calibration_dir is not None:
             self.context.calibration = self.reload_calibration
             self.reload_calibration()
-        self.snapshot_path = (
-            Path(snapshot_path) if snapshot_path is not None else None
-        )
-        self.snapshot_interval_seconds = snapshot_interval_seconds
         self.checkpoint_interval_seconds = checkpoint_interval_seconds
-        if self.snapshot_path is not None:
-            self.context.snapshot = self.snapshot_now
         if self.checkpointer is not None:
             self.context.checkpoint = self.checkpoint_now
             self.context.store_info = self.store_info
@@ -403,8 +391,7 @@ class ExamServer:
         self._extra_httpds: list = []
         self._extra_threads: list = []
         self._thread: Optional[threading.Thread] = None
-        self._snapshot_stop = threading.Event()
-        self._snapshot_thread: Optional[threading.Thread] = None
+        self._checkpoint_stop = threading.Event()
         self._checkpoint_thread: Optional[threading.Thread] = None
         self._shut_down = False
 
@@ -468,7 +455,6 @@ class ExamServer:
         )
         self._thread.start()
         self._start_extra_listeners()
-        self._start_snapshotting()
         self._start_checkpointing()
         if self.readmodel is not None:
             self.readmodel.start()
@@ -477,14 +463,12 @@ class ExamServer:
     def serve_forever(self) -> None:
         """Serve on the calling thread (the CLI path); blocks."""
         self._start_extra_listeners()
-        self._start_snapshotting()
         self._start_checkpointing()
         if self.readmodel is not None:
             self.readmodel.start()
         try:
             self._httpd.serve_forever(poll_interval=0.05)
         finally:
-            self._stop_snapshotting()
             self._stop_checkpointing()
             if self.readmodel is not None:
                 self.readmodel.close()
@@ -495,7 +479,7 @@ class ExamServer:
         Returns True when the drain completed within ``drain_timeout``
         (False means requests were still running when time ran out; the
         worker threads are daemons and cannot outlive the process).  A
-        final snapshot is taken when snapshotting is configured.
+        final checkpoint is taken when a WAL is configured.
         """
         if self._shut_down:
             return True
@@ -504,10 +488,7 @@ class ExamServer:
         for httpd in self._extra_httpds:
             httpd.shutdown()
         drained = self.in_flight.wait_idle(drain_timeout)
-        self._stop_snapshotting()
         self._stop_checkpointing()
-        if self.snapshot_path is not None:
-            self.snapshot_now()
         if self.checkpointer is not None:
             # a clean exit leaves a checkpoint covering the whole log,
             # so the next boot replays (almost) nothing
@@ -524,45 +505,6 @@ class ExamServer:
         for thread in self._extra_threads:
             thread.join(timeout=5.0)
         return drained
-
-    # -- snapshotting ---------------------------------------------------------
-
-    def snapshot_now(self) -> Path:
-        """Write an atomic LMS snapshot immediately; returns the path."""
-        if self.snapshot_path is None:
-            raise RuntimeError("no snapshot_path configured")
-        from repro.lms.persistence import save_lms
-
-        save_lms(self.lms, self.snapshot_path)
-        self.context.registry.count("server.snapshots")
-        return self.snapshot_path
-
-    def _start_snapshotting(self) -> None:
-        if (
-            self.snapshot_path is None
-            or self.snapshot_interval_seconds is None
-            or self._snapshot_thread is not None
-        ):
-            return
-        interval = float(self.snapshot_interval_seconds)
-
-        def loop() -> None:
-            while not self._snapshot_stop.wait(interval):
-                try:
-                    self.snapshot_now()
-                except Exception:  # noqa: BLE001 - keep the beat going
-                    self.context.registry.count("server.snapshot_errors")
-
-        self._snapshot_thread = threading.Thread(
-            target=loop, name="mine-assess-snapshots", daemon=True
-        )
-        self._snapshot_thread.start()
-
-    def _stop_snapshotting(self) -> None:
-        self._snapshot_stop.set()
-        if self._snapshot_thread is not None:
-            self._snapshot_thread.join(timeout=5.0)
-            self._snapshot_thread = None
 
     # -- durability ------------------------------------------------------------
 
@@ -661,13 +603,11 @@ class ExamServer:
         interval = float(self.checkpoint_interval_seconds)
 
         def loop() -> None:
-            # shares the snapshot stop event: both beats end at shutdown
-            while not self._snapshot_stop.wait(interval):
+            while not self._checkpoint_stop.wait(interval):
                 try:
-                    # the quiet-log skip of Checkpointer.maybe_checkpoint,
-                    # but through checkpoint_now so the read-model
-                    # follower is synced before compaction retires
-                    # anything it has not folded yet
+                    # skip a quiet log; go through checkpoint_now so the
+                    # read-model follower is synced before compaction
+                    # retires anything it has not folded yet
                     if (
                         self.journal.last_lsn
                         > self.checkpointer.last_covered_lsn
@@ -682,7 +622,7 @@ class ExamServer:
         self._checkpoint_thread.start()
 
     def _stop_checkpointing(self) -> None:
-        self._snapshot_stop.set()
+        self._checkpoint_stop.set()
         if self._checkpoint_thread is not None:
             self._checkpoint_thread.join(timeout=5.0)
             self._checkpoint_thread = None

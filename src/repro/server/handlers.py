@@ -46,8 +46,6 @@ class ServerContext:
     started_at: float = field(default_factory=time.time)
     #: filled by the app layer so /metrics can report live saturation
     in_flight: Optional[object] = None
-    #: filled by the app layer when periodic snapshotting is configured
-    snapshot: Optional[object] = None
     #: filled by the app layer when a WAL is configured: a zero-arg
     #: callable running one checkpoint pass (POST /admin/checkpoint)
     checkpoint: Optional[object] = None
@@ -395,17 +393,6 @@ def _monitor_metrics(ctx: ServerContext, params, body, query):
 # -- admin --------------------------------------------------------------------
 
 
-def _snapshot_now(ctx: ServerContext, params, body, query):
-    if ctx.snapshot is None:
-        raise ApiError(
-            409,
-            "invalid_state",
-            "server was started without a snapshot path",
-        )
-    path = ctx.snapshot()
-    return {"snapshot": str(path)}
-
-
 def _checkpoint_payload(result) -> Dict[str, object]:
     return {
         "checkpoint": str(result.path),
@@ -737,7 +724,6 @@ def build_router() -> Router:
     router.add(
         "GET", "/monitor/metrics", _monitor_metrics, "monitor.metrics"
     )
-    router.add("POST", "/admin/snapshot", _snapshot_now, "admin.snapshot")
     router.add(
         "POST", "/admin/checkpoint", _checkpoint_now, "admin.checkpoint"
     )

@@ -144,18 +144,6 @@ class Checkpointer:
             pruned_checkpoints=pruned,
         )
 
-    def maybe_checkpoint(
-        self, min_new_records: int = 1
-    ) -> Optional[CheckpointResult]:
-        """Checkpoint only if the WAL grew enough since the last one.
-
-        Embedders (the exam server's checkpoint timer) call this on a
-        cadence; a quiet LMS then never churns identical snapshots.
-        """
-        if self.journal.last_lsn - self.last_covered_lsn < min_new_records:
-            return None
-        return self.checkpoint()
-
     def _prune(self) -> List[Path]:
         files = checkpoint_files(self.directory)
         pruned: List[Path] = []

@@ -13,12 +13,18 @@ Two wire formats coexist, selected per segment by file suffix and
 auto-detected on read, so a directory can mix them (old logs recover
 unchanged after an upgrade):
 
-* ``format=1`` — JSON lines (``wal-<lsn>.jsonl``): one canonical JSON
-  object per line with an embedded ``crc`` field;
 * ``format=2`` — compact binary (``wal-<lsn>.walb``): an 8-byte header
   (magic + version) then length-prefixed records
   (varint length + u32 CRC32 + struct-packed body; see
-  :mod:`repro.store.format`).  The default for new journals.
+  :mod:`repro.store.format`).  Every serving process writes this.
+* ``format=1`` — JSON lines (``wal-<lsn>.jsonl``): one canonical JSON
+  object per line with an embedded ``crc`` field.  Still read, so old
+  directories recover, tail and upgrade in place; ``Journal(format=1)``
+  remains only to produce v1 bytes for the reader's tests and benches.
+
+Each format has one offset-based decoder, called only by
+:func:`scan_segment`, through which recovery and the
+:class:`~repro.store.tail.JournalTailer` both read.
 
 Durability levels (``fsync`` policy):
 
@@ -40,10 +46,8 @@ writer that finds another thread's fsync in flight waits for it to
 finish and then rides the *next* one, so N concurrent writers share
 O(1) flushes instead of issuing N.  An append still never returns
 before its record is on disk — the coalescing moves the fsync, never
-skips it.  ``group_commit_window_seconds`` optionally holds the leader
-back to let more writers pile in (0 = rely on natural batching).
-:meth:`append_batch` applies the same idea within one caller: K records
-become one write + one flush + one fsync.
+skips it.  :meth:`append_batch` applies the same idea within one
+caller: K records become one write + one flush + one fsync.
 
 Reading tolerates a **torn tail**: a record that fails to parse or
 checksum in the *final* segment marks the end of the log (everything
@@ -177,10 +181,6 @@ def segment_first_lsn(path: Path) -> int:
         raise StoreError(f"not a WAL segment name: {path.name}") from None
 
 
-# internal alias kept for callers that predate the public name
-_segment_first_lsn = segment_first_lsn
-
-
 def segment_files(directory: "str | Path") -> List[Path]:
     """The directory's WAL segments (either format), in LSN order."""
     base = Path(directory)
@@ -192,7 +192,7 @@ def segment_files(directory: "str | Path") -> List[Path]:
         if path.name.startswith(_SEGMENT_PREFIX)
         and path.suffix in _SUFFIX_FORMATS
     ]
-    return sorted(segments, key=_segment_first_lsn)
+    return sorted(segments, key=segment_first_lsn)
 
 
 @dataclass
@@ -200,84 +200,97 @@ class TailScan:
     """What scanning one segment found: records and any torn tail."""
 
     records: List[JournalRecord] = field(default_factory=list)
-    #: byte offset of the first bad record (== file size when clean)
+    #: byte offset just past the last whole record (== file size when clean)
     valid_bytes: int = 0
     #: bytes after the first bad record (0 when the segment is clean)
     torn_bytes: int = 0
     #: the decode error that ended the scan, if any
     error: Optional[str] = None
+    #: the v2 header is whole but wrong (bad magic or version): unlike a
+    #: torn record, no later write can make it readable
+    bad_header: bool = False
 
 
-def _scan_v1(raw: bytes, scan: TailScan) -> None:
-    offset = 0
-    for line in raw.split(b"\n"):
-        if offset >= len(raw):
-            break
-        consumed = len(line) + 1  # the newline
-        if not line:
-            offset += consumed
-            continue
-        # a line without its newline is an unterminated (torn) write
-        terminated = offset + len(line) < len(raw)
-        if not terminated:
+def _decode_v1(raw: bytes, start: int, scan: TailScan) -> None:
+    """Decode the JSON lines in ``raw``, the segment's bytes from file
+    offset ``start`` on, into ``scan`` until the first bad one."""
+    pos = 0
+    while pos < len(raw):
+        newline = raw.find(b"\n", pos)
+        if newline < 0:
+            # a line without its newline is an unterminated (torn) write
             scan.error = "unterminated final record"
-            break
+            return
+        line = raw[pos:newline]
+        if line:
+            try:
+                scan.records.append(_decode_line(line))
+            except ValueError as exc:
+                scan.error = str(exc)
+                return
+        pos = newline + 1
+        scan.valid_bytes = start + pos
+
+
+def _decode_v2(raw: bytes, start: int, scan: TailScan) -> None:
+    """Decode the length-prefixed records in ``raw``, the segment's
+    bytes from file offset ``start`` on (the header when ``start`` is
+    0), into ``scan`` until the first bad one."""
+    pos = 0
+    if start == 0:
+        if not raw:
+            # created but never written (crash before the header): clean-empty
+            return
         try:
-            scan.records.append(_decode_line(line))
+            binfmt.check_segment_header(raw)
         except ValueError as exc:
+            # a torn header means no record ever landed; the whole file
+            # is the torn tail and repair truncates it back to nothing
             scan.error = str(exc)
-            break
-        offset += consumed
-        scan.valid_bytes = offset
-
-
-def _scan_v2(raw: bytes, scan: TailScan) -> None:
-    if not raw:
-        # created but never written (crash before the header): clean-empty
-        return
-    try:
-        binfmt.check_segment_header(raw)
-    except ValueError as exc:
-        # a torn header means no record ever landed; the whole file is
-        # the torn tail and repair truncates it back to nothing
-        scan.error = str(exc)
-        return
-    offset = binfmt.SEGMENT_HEADER_LEN
-    scan.valid_bytes = offset
-    while offset < len(raw):
+            scan.bad_header = len(raw) >= binfmt.SEGMENT_HEADER_LEN
+            return
+        pos = binfmt.SEGMENT_HEADER_LEN
+        scan.valid_bytes = pos
+    while pos < len(raw):
         try:
-            body_len, body_start = binfmt.decode_varint(raw, offset)
+            body_len, body_start = binfmt.decode_varint(raw, pos)
             body_start += _CRC32.size
             end = body_start + body_len
-            if body_start > len(raw) or end > len(raw):
+            if end > len(raw):
                 raise ValueError("record truncated")
             (crc,) = _CRC32.unpack_from(raw, body_start - _CRC32.size)
             body = raw[body_start:end]
-            if zlib.crc32(body) & 0xFFFFFFFF != crc:
+            computed = zlib.crc32(body) & 0xFFFFFFFF
+            if computed != crc:
                 raise ValueError(
-                    f"crc mismatch: stored {crc}, "
-                    f"computed {zlib.crc32(body) & 0xFFFFFFFF}"
+                    f"crc mismatch: stored {crc}, computed {computed}"
                 )
             lsn, type_, data = binfmt.decode_body(body)
         except ValueError as exc:
             scan.error = str(exc)
-            break
+            return
         scan.records.append(JournalRecord(lsn=lsn, type=type_, data=data))
-        offset = end
-        scan.valid_bytes = offset
+        pos = end
+        scan.valid_bytes = start + pos
 
 
-def scan_segment(path: Path) -> TailScan:
-    """Read every valid record of one segment, stopping at the first
-    bad one (truncate-at-first-bad-record semantics).  The wire format
-    is auto-detected from the file suffix."""
-    scan = TailScan()
-    raw = path.read_bytes()
-    if segment_format(path) == 2:
-        _scan_v2(raw, scan)
-    else:
-        _scan_v1(raw, scan)
-    scan.torn_bytes = len(raw) - scan.valid_bytes
+_DECODERS = {1: _decode_v1, 2: _decode_v2}
+
+
+def scan_segment(path: Path, offset: int = 0) -> TailScan:
+    """Read every valid record of one segment from byte ``offset`` on,
+    stopping at the first bad one (truncate-at-first-bad-record
+    semantics).  ``offset`` must be a record boundary: 0, or the
+    ``valid_bytes`` of an earlier scan of the same file, which is how
+    the tailer resumes.  The wire format is auto-detected from the
+    file suffix."""
+    decode = _DECODERS[segment_format(path)]
+    with path.open("rb") as stream:
+        stream.seek(offset)
+        raw = stream.read()
+    scan = TailScan(valid_bytes=offset)
+    decode(raw, offset, scan)
+    scan.torn_bytes = offset + len(raw) - scan.valid_bytes
     return scan
 
 
@@ -350,7 +363,6 @@ class Journal:
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         format: int = 2,
         group_commit: bool = False,
-        group_commit_window_seconds: float = 0.0,
         registry: Optional["obs.Registry"] = None,
         _last_lsn: int = 0,
     ) -> None:
@@ -371,7 +383,6 @@ class Journal:
         self.segment_bytes = int(segment_bytes)
         self.format = int(format)
         self.group_commit = bool(group_commit)
-        self.group_commit_window_seconds = float(group_commit_window_seconds)
         self._encode_one = (
             _encode_record_v2 if self.format == 2 else _encode_record_v1
         )
@@ -413,7 +424,6 @@ class Journal:
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
         format: int = 2,
         group_commit: bool = False,
-        group_commit_window_seconds: float = 0.0,
         registry: Optional["obs.Registry"] = None,
     ) -> "Journal":
         """Open (creating if needed) the WAL in ``directory``.
@@ -435,7 +445,6 @@ class Journal:
             segment_bytes=segment_bytes,
             format=format,
             group_commit=group_commit,
-            group_commit_window_seconds=group_commit_window_seconds,
             registry=registry,
         )
         segments = segment_files(base)
@@ -454,7 +463,7 @@ class Journal:
             else:
                 # an empty (or fully torn) final segment: the previous
                 # LSN is one less than the first this file would hold
-                journal._last_lsn = _segment_first_lsn(tail) - 1
+                journal._last_lsn = segment_first_lsn(tail) - 1
             # whatever survived the open scan is on disk by definition
             journal._durable_lsn = journal._last_lsn
             if segment_format(tail) == journal.format:
@@ -560,10 +569,6 @@ class Journal:
         """Current segment files, oldest first."""
         return segment_files(self.directory)
 
-    def read(self, start_lsn: int = 0) -> Iterator[JournalRecord]:
-        """Records with ``lsn > start_lsn`` (see :func:`read_records`)."""
-        return read_records(self.directory, start_lsn)
-
     def retire_covered(self, covered_lsn: int) -> List[Path]:
         """Delete sealed segments fully covered by a checkpoint.
 
@@ -580,7 +585,7 @@ class Journal:
                     path == self._segment_path
                 ):
                     break
-                if _segment_first_lsn(following) - 1 <= covered_lsn:
+                if segment_first_lsn(following) - 1 <= covered_lsn:
                     path.unlink()
                     removed.append(path)
                 else:
@@ -647,9 +652,6 @@ class Journal:
                 self._gc_cond.wait()
         high = lsn
         try:
-            if self.group_commit_window_seconds > 0:
-                # optional hold-back so more writers join this flush
-                time.sleep(self.group_commit_window_seconds)
             with self._lock:
                 if self._stream is not None and not self._closed:
                     self._stream.flush()

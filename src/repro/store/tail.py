@@ -8,7 +8,9 @@ record appended since, **exactly once**, in LSN order.  The tailer is a
 pure reader — it opens segment files read-only, keeps a byte offset
 into the active one, and never touches the writer's :class:`~repro.
 store.journal.Journal` instance — so it can run in the serving process
-(the read-model thread) or in a completely separate one.
+(the read-model thread) or in a completely separate one.  It decodes
+from that offset with :func:`~repro.store.journal.scan_segment`, the
+decoder recovery uses, so the two cannot disagree on framing.
 
 What it survives, by design:
 
@@ -31,22 +33,18 @@ What it survives, by design:
 
 from __future__ import annotations
 
-import struct
 import threading
 import time
-import zlib
 from pathlib import Path
 from typing import Iterator, List, Optional
 
 from repro import obs
 from repro.core.errors import JournalCorruptError, StoreError
-from repro.store import format as binfmt
 from repro.store.journal import (
     JournalRecord,
-    _decode_line,
+    scan_segment,
     segment_files,
     segment_first_lsn,
-    segment_format,
     start_segment_index,
 )
 
@@ -54,8 +52,6 @@ __all__ = ["JournalTailer", "TailTruncatedError", "DEFAULT_POLL_INTERVAL"]
 
 #: how long :meth:`JournalTailer.follow` sleeps when the tip is quiet
 DEFAULT_POLL_INTERVAL = 0.02
-
-_CRC32 = struct.Struct("<I")
 
 
 class TailTruncatedError(StoreError):
@@ -83,7 +79,6 @@ class JournalTailer:
         self.poll_interval = float(poll_interval)
         self._lsn = int(start_lsn)
         self._segment: Optional[Path] = None
-        self._format = 2
         self._offset = 0
         #: lifetime totals
         self.records_read = 0
@@ -155,7 +150,6 @@ class JournalTailer:
 
     def _enter_segment(self, path: Path) -> None:
         self._segment = path
-        self._format = segment_format(path)
         self._offset = 0
         self.segments_followed += 1
 
@@ -176,21 +170,23 @@ class JournalTailer:
     def _scan_active(self, records: List[JournalRecord]) -> bool:
         """Decode what the active segment holds past our offset; True
         when the poll loop should spin again (more may be readable)."""
-        path = self._segment
         try:
-            with path.open("rb") as stream:
-                stream.seek(self._offset)
-                raw = stream.read()
+            scan = scan_segment(self._segment, self._offset)
         except FileNotFoundError:
             # retired underneath us after we drained it; re-locate (the
             # gap check in _locate catches retirement *ahead* of us)
             self._segment = None
             return True
-        if self._format == 2:
-            clean = self._scan_v2(raw, records)
-        else:
-            clean = self._scan_v1(raw, records)
-        if not clean:
+        if scan.bad_header:
+            raise JournalCorruptError(
+                f"segment {self._segment.name}: {scan.error}"
+            )
+        for record in scan.records:
+            if record.lsn > self._lsn:
+                records.append(record)
+                self._lsn = record.lsn
+        self._offset = scan.valid_bytes
+        if scan.error is not None:
             # torn final record: hold position, retry on the next poll
             # (a *sealed* segment can only end torn after a crash the
             # writer has not repaired yet — waiting is correct there
@@ -198,59 +194,3 @@ class JournalTailer:
             return False
         # cleanly at EOF: sealed-and-rotated segments hand over here
         return self._advance_if_sealed()
-
-    def _scan_v1(self, raw: bytes, records: List[JournalRecord]) -> bool:
-        pos = 0
-        while pos < len(raw):
-            newline = raw.find(b"\n", pos)
-            if newline < 0:
-                # unterminated (torn or mid-write) final record
-                self._offset += pos
-                return False
-            line = raw[pos:newline]
-            if line:
-                try:
-                    record = _decode_line(line)
-                except ValueError:
-                    self._offset += pos
-                    return False
-                if record.lsn > self._lsn:
-                    records.append(record)
-                    self._lsn = record.lsn
-            pos = newline + 1
-        self._offset += pos
-        return True
-
-    def _scan_v2(self, raw: bytes, records: List[JournalRecord]) -> bool:
-        pos = 0
-        if self._offset == 0:
-            if len(raw) < binfmt.SEGMENT_HEADER_LEN:
-                return False  # header still being written
-            try:
-                binfmt.check_segment_header(raw)
-            except ValueError as exc:
-                raise JournalCorruptError(
-                    f"segment {self._segment.name}: {exc}"
-                ) from exc
-            pos = binfmt.SEGMENT_HEADER_LEN
-        while pos < len(raw):
-            try:
-                body_len, body_start = binfmt.decode_varint(raw, pos)
-                body_start += _CRC32.size
-                end = body_start + body_len
-                if end > len(raw):
-                    raise ValueError("record truncated")
-                (crc,) = _CRC32.unpack_from(raw, body_start - _CRC32.size)
-                body = raw[body_start:end]
-                if zlib.crc32(body) & 0xFFFFFFFF != crc:
-                    raise ValueError("crc mismatch")
-                lsn, type_, data = binfmt.decode_body(body)
-            except ValueError:
-                self._offset += pos
-                return False
-            if lsn > self._lsn:
-                records.append(JournalRecord(lsn=lsn, type=type_, data=data))
-                self._lsn = lsn
-            pos = end
-        self._offset += pos
-        return True

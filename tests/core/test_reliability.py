@@ -147,6 +147,10 @@ class TestSplitHalf:
         with pytest.raises(AnalysisError):
             split_half_reliability([[1.0, 2.0], [1.0, 5.0]])
 
+    def test_tiny_half_scores_do_not_underflow(self):
+        # var_x * var_y underflowed to 0.0 here: ZeroDivisionError
+        assert split_half_reliability([[0.0, 0.0], [1e-160, 1e-160]]) == 1.0
+
 
 class TestReliabilityProperties:
     @settings(max_examples=30, deadline=None)

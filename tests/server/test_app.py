@@ -19,6 +19,7 @@ from repro.lms.lms import Lms
 from repro.lms.persistence import load_lms
 from repro.server.app import ExamServer
 from repro.sim.workloads import classroom_exam
+from repro.store import recover
 
 EXAM_ID = "classroom-mid"
 QUESTIONS = 4
@@ -485,49 +486,78 @@ class TestGracefulShutdown:
             server.shutdown()
 
 
-class TestSnapshotting:
-    def test_admin_snapshot_writes_state(self, tmp_path):
-        path = tmp_path / "state.json"
-        with ExamServer(seeded_lms(), snapshot_path=path) as server:
+class TestWalDurability:
+    """The WAL is the server's only persistence: checkpoints do what
+    ``save_lms`` snapshots of the whole state once did."""
+
+    def test_admin_snapshot_route_is_gone(self, client):
+        status, payload, _ = client.post("/admin/snapshot")
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+
+    def test_admin_checkpoint_writes_a_loadable_state(self, tmp_path):
+        with ExamServer(seeded_lms(), wal_dir=tmp_path) as server:
             client = Client(server)
             try:
-                status, payload, _ = client.post("/admin/snapshot")
-                assert status == 200
-                assert payload["snapshot"] == str(path)
+                status, payload, _ = client.post("/admin/checkpoint")
             finally:
                 client.close()
-        restored = load_lms(path)
+            assert status == 200
+            restored = load_lms(payload["checkpoint"])
         assert restored.offered_exams() == [EXAM_ID]
         assert sorted(restored.learners.ids()) == ["amy", "bob"]
 
-    def test_admin_snapshot_without_path_409(self, client):
-        status, payload, _ = client.post("/admin/snapshot")
-        assert status == 409
-        assert payload["error"]["code"] == "invalid_state"
+    def test_clean_shutdown_checkpoints_the_whole_log(self, tmp_path):
+        server = ExamServer(wal_dir=tmp_path).start()
+        client = Client(server)
+        try:
+            exam = exam_to_record(classroom_exam(QUESTIONS))
+            assert client.post("/exams", body=exam)[0] == 201
+            learner = {"learner_id": "zoe"}
+            assert client.post("/learners", body=learner)[0] == 201
+        finally:
+            client.close()
+        last_lsn = server.journal.last_lsn
+        assert last_lsn > 0
+        server.shutdown()
+        report = recover(tmp_path)
+        assert report.checkpoint_lsn == last_lsn
+        assert report.records_replayed == 0
+        assert report.lms.offered_exams() == [EXAM_ID]
+        assert "zoe" in report.lms.learners.ids()
 
-    def test_shutdown_takes_final_snapshot(self, tmp_path):
-        path = tmp_path / "state.json"
-        server = ExamServer(seeded_lms(), snapshot_path=path).start()
+    def test_checkpoint_interval_checkpoints_a_growing_log(self, tmp_path):
+        server = ExamServer(
+            wal_dir=tmp_path, checkpoint_interval_seconds=0.05
+        ).start()
+        client = Client(server)
+        try:
+            for learner_id in ("zoe", "yan"):
+                client.post("/learners", body={"learner_id": learner_id})
+                lsn = server.journal.last_lsn
+                deadline = time.time() + 5
+                while server.checkpointer.last_covered_lsn < lsn:
+                    assert time.time() < deadline, "no periodic checkpoint"
+                    time.sleep(0.01)
+            assert server.checkpointer.checkpoints_taken >= 2
+        finally:
+            client.close()
+            server.shutdown()
+
+    def test_checkpoint_interval_skips_a_quiet_log(self, tmp_path):
+        server = ExamServer(
+            wal_dir=tmp_path, checkpoint_interval_seconds=0.05
+        ).start()
         client = Client(server)
         try:
             client.post("/learners", body={"learner_id": "zoe"})
+            deadline = time.time() + 5
+            while server.checkpointer.last_covered_lsn < 1:
+                assert time.time() < deadline, "no periodic checkpoint"
+                time.sleep(0.01)
+            taken = server.checkpointer.checkpoints_taken
+            time.sleep(0.3)  # about six beats with nothing new in the log
+            assert server.checkpointer.checkpoints_taken == taken
         finally:
             client.close()
-        server.shutdown()
-        assert "zoe" in load_lms(path).learners.ids()
-
-    def test_periodic_snapshots(self, tmp_path):
-        path = tmp_path / "state.json"
-        server = ExamServer(
-            seeded_lms(),
-            snapshot_path=path,
-            snapshot_interval_seconds=0.05,
-        ).start()
-        try:
-            deadline = time.time() + 5
-            while not path.exists():
-                assert time.time() < deadline, "no periodic snapshot"
-                time.sleep(0.01)
-        finally:
             server.shutdown()
-        assert load_lms(path).offered_exams() == [EXAM_ID]

@@ -54,17 +54,6 @@ class TestCheckpoint:
         assert report.checkpoint_lsn > first.covered_lsn
         journal.close()
 
-    def test_maybe_checkpoint_skips_a_quiet_lms(self, tmp_path):
-        journal = Journal.open(tmp_path, fsync="never")
-        lms, clock = journaled_lms(journal)
-        checkpointer = Checkpointer(lms, journal)
-        assert checkpointer.checkpoint() is not None
-        # nothing new in the WAL: no snapshot churn
-        assert checkpointer.maybe_checkpoint() is None
-        enroll_cohort(lms, ["amy"])
-        assert checkpointer.maybe_checkpoint() is not None
-        journal.close()
-
     def test_prune_keeps_the_newest_snapshots(self, tmp_path):
         journal = Journal.open(tmp_path, fsync="never")
         lms, clock = journaled_lms(journal)

@@ -173,6 +173,9 @@ class TestPaper:
 
 class TestServe:
     def test_serve_boots_restores_state_and_answers_http(self, tmp_path):
+        """A ``save_lms`` file copied in as checkpoint 0 is a WAL store
+        (how an old ``--state`` file migrates); SIGTERM drains and
+        takes a final checkpoint, like ^C."""
         import http.client
         import json
         import subprocess
@@ -180,20 +183,21 @@ class TestServe:
 
         from repro.lms.learners import Learner
         from repro.lms.lms import Lms
-        from repro.lms.persistence import save_lms
+        from repro.lms.persistence import load_lms, save_lms
         from repro.sim.workloads import classroom_exam
+        from repro.store import checkpoint_files
 
-        # a pre-existing state file the server must restore at boot
         lms = Lms()
         lms.offer_exam(classroom_exam(3))
         lms.register_learner(Learner(learner_id="amy", name="Amy"))
-        state = tmp_path / "lms.json"
-        save_lms(lms, state)
+        wal_dir = tmp_path / "wal"
+        wal_dir.mkdir()
+        save_lms(lms, wal_dir / f"checkpoint-{0:020d}.json")
 
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro.cli", "serve",
-                "--port", "0", "--state", str(state),
+                "--port", "0", "--wal-dir", str(wal_dir),
             ],
             stdout=subprocess.PIPE,
             text=True,
@@ -216,11 +220,25 @@ class TestServe:
                 response = connection.getresponse()
                 assert response.status == 200
                 assert json.loads(response.read())["name"] == "Amy"
+                connection.request(
+                    "POST", "/learners", body=json.dumps(
+                        {"learner_id": "bob", "name": "Bob"}
+                    ),
+                )
+                response = connection.getresponse()
+                assert response.status == 201
+                response.read()
             finally:
                 connection.close()
-        finally:
             process.terminate()
-            assert process.wait(timeout=10) is not None
+            assert process.wait(timeout=30) == 0
+        finally:
+            process.kill()
+            process.wait(timeout=10)
+            process.stdout.close()
+        newest = checkpoint_files(wal_dir)[-1]
+        assert newest.name > f"checkpoint-{0:020d}.json"
+        assert sorted(load_lms(newest).learners.ids()) == ["amy", "bob"]
 
 
 class TestLoadgen:
