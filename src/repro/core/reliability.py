@@ -78,7 +78,11 @@ def kr20(correct_matrix: Sequence[Sequence[bool]]) -> float:
 
 
 def cronbach_alpha(score_matrix: Sequence[Sequence[float]]) -> float:
-    """Cronbach's α for arbitrary (possibly partial-credit) item scores."""
+    """Cronbach's α for arbitrary (possibly partial-credit) item scores.
+
+    At most 1 (the total's variance never exceeds ``items`` times the
+    sum of item variances); rounding is not allowed to push it past.
+    """
     _check_matrix(score_matrix)
     examinees = len(score_matrix)
     items = len(score_matrix[0])
@@ -86,16 +90,21 @@ def cronbach_alpha(score_matrix: Sequence[Sequence[float]]) -> float:
         raise AnalysisError("alpha needs at least two items")
     if examinees < 2:
         raise AnalysisError("alpha needs at least two examinees")
-    totals = [sum(row) for row in score_matrix]
+    # α is scale-invariant: on the unit scale no squared deviation
+    # underflows, so tiny scores cannot fake a zero item variance
+    flat = _unit_scaled([score for row in score_matrix for score in row])
+    rows = [flat[start:start + items] for start in range(0, len(flat), items)]
+    totals = [sum(row) for row in rows]
     total_variance = _variance(totals)
     if total_variance == 0:
         raise AnalysisError(
             "total scores have zero variance; alpha is undefined"
         )
     item_variance_sum = sum(
-        _variance([row[item] for row in score_matrix]) for item in range(items)
+        _variance([row[item] for row in rows]) for item in range(items)
     )
-    return (items / (items - 1)) * (1.0 - item_variance_sum / total_variance)
+    alpha = (items / (items - 1)) * (1.0 - item_variance_sum / total_variance)
+    return min(1.0, alpha)
 
 
 def standard_error_of_measurement(
@@ -108,7 +117,11 @@ def standard_error_of_measurement(
         raise AnalysisError(
             f"reliability must be in [0, 1] for SEM, got {reliability}"
         )
-    return math.sqrt(_variance(total_scores)) * math.sqrt(1.0 - reliability)
+    # the SD on the unit scale, scaled back: squaring tiny totals
+    # directly underflows to a zero SD
+    scale = max(abs(score) for score in total_scores)
+    sd = math.sqrt(_variance(_unit_scaled(total_scores))) * scale
+    return sd * math.sqrt(1.0 - reliability)
 
 
 def split_half_reliability(
@@ -139,7 +152,7 @@ def split_half_reliability(
 
 def _unit_scaled(values: Sequence[float]) -> List[float]:
     """``values`` over their largest magnitude, so squaring them cannot
-    underflow; correlations are scale-invariant."""
+    underflow; correlations and α are scale-invariant."""
     scale = max(abs(value) for value in values)
     return [value / scale for value in values] if scale else list(values)
 

@@ -12,16 +12,17 @@ can say not just "D is low" but "D is low *and* the data support it":
 * :func:`proportion_confidence_interval` — the Wilson interval for a
   difficulty index, so stored P values can carry uncertainty.
 
-scipy supplies the distributions; the test logic is explicit here.
+The standard library supplies the normal distribution (``math.erfc``,
+``statistics.NormalDist``); McNemar's binomial tail is summed exactly in
+integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Sequence, Tuple
-
-from scipy import stats
 
 from repro.core.errors import AnalysisError
 
@@ -70,7 +71,7 @@ def discrimination_significance(
         return TestResult(statistic=0.0, p_value=1.0, alpha=alpha)
     se = math.sqrt(pooled * (1 - pooled) * (1 / high_total + 1 / low_total))
     z = (p_high - p_low) / se
-    p_value = float(stats.norm.sf(z))  # one-sided: PH > PL
+    p_value = 0.5 * math.erfc(z / math.sqrt(2))  # one-sided: PH > PL
     return TestResult(statistic=z, p_value=p_value, alpha=alpha)
 
 
@@ -106,10 +107,27 @@ def isi_significance(
     discordant = improved + regressed
     if discordant == 0:
         return TestResult(statistic=0.0, p_value=1.0, alpha=alpha)
-    result = stats.binomtest(improved, discordant, p=0.5, alternative="greater")
     return TestResult(
-        statistic=float(improved), p_value=float(result.pvalue), alpha=alpha
+        statistic=float(improved),
+        p_value=_binomial_upper_tail(improved, discordant),
+        alpha=alpha,
     )
+
+
+def _binomial_upper_tail(successes: int, trials: int) -> float:
+    """P(X >= successes) for X ~ Binomial(trials, 0.5), correctly rounded.
+
+    Sums C(trials, k) for k >= successes in integers with the running
+    term C(n, k+1) = C(n, k) * (n - k) // (k + 1), one small multiply
+    and divide per term instead of a fresh ``math.comb`` each, and
+    divides by 2**trials once at the end.
+    """
+    term = math.comb(trials, successes)
+    tail = 0
+    for k in range(successes, trials + 1):
+        tail += term
+        term = term * (trials - k) // (k + 1)
+    return tail / 2**trials
 
 
 def proportion_confidence_interval(
@@ -121,7 +139,7 @@ def proportion_confidence_interval(
         raise AnalysisError(
             f"confidence must be in (0, 1), got {confidence}"
         )
-    z = float(stats.norm.ppf(1 - (1 - confidence) / 2))
+    z = NormalDist().inv_cdf(1 - (1 - confidence) / 2)
     p = correct / total
     denominator = 1 + z * z / total
     centre = (p + z * z / (2 * total)) / denominator
@@ -130,7 +148,11 @@ def proportion_confidence_interval(
         * math.sqrt(p * (1 - p) / total + z * z / (4 * total * total))
         / denominator
     )
-    return (max(0.0, centre - half_width), min(1.0, centre + half_width))
+    # an all-wrong or all-right item pins its end exactly: the
+    # quantile's last-ulp rounding must not open a gap at 0 or 1
+    low = 0.0 if correct == 0 else max(0.0, centre - half_width)
+    high = 1.0 if correct == total else min(1.0, centre + half_width)
+    return (low, high)
 
 
 def _check_counts(correct: int, total: int, name: str) -> None:

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import AnalysisError, EmptyCohortError
@@ -161,3 +161,58 @@ class TestReliabilityProperties:
         if len(set(totals)) < 2:
             return  # zero variance is rejected, covered elsewhere
         assert kr20(matrix) <= 1.0
+
+
+# Scores times _TINY square below the smallest subnormal.  _S is chosen
+# so that _S * _TINY is exactly 2.5e-162, where the squared deviations
+# went subnormal or to zero: α came out 2.0 and 1.5, the SEM 0.0.
+_TINY = 2.0 ** -540
+_S = 2.5e-162 / _TINY
+
+partial_credit = st.integers(min_value=0, max_value=40).map(lambda q: q / 4)
+
+
+def score_matrices():
+    return st.integers(min_value=2, max_value=6).flatmap(
+        lambda items: st.lists(
+            st.lists(partial_credit, min_size=items, max_size=items),
+            min_size=2,
+            max_size=12,
+        )
+    )
+
+
+class TestUnderflow:
+    """α and the SEM at scores whose squares underflow.
+
+    KR-20 needs no such guard: it sums booleans, so its totals are
+    whole numbers and their squared deviations cannot underflow.
+    """
+
+    def test_alpha_of_tiny_identical_items(self):
+        assert cronbach_alpha([[0.0, 0.0], [2.5e-162, 2.5e-162]]) == 1.0
+
+    def test_alpha_of_tiny_partial_agreement(self):
+        s = 2.5e-162
+        matrix = [[0.0, 0.0, 0.0], [s, s, s], [s, 0.0, s]]
+        assert cronbach_alpha(matrix) == pytest.approx(6 / 7)
+
+    def test_sem_of_tiny_totals(self):
+        assert standard_error_of_measurement([0.0, 2.5e-162], 0.0) == 1.25e-162
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=score_matrices())
+    @example(matrix=[[0.0, 0.0], [_S, _S]])
+    @example(matrix=[[0.0, 0.0, 0.0], [_S, _S, _S], [_S, 0.0, _S]])
+    def test_alpha_and_sem_are_scale_free(self, matrix):
+        totals = [sum(row) for row in matrix]
+        assume(len(set(totals)) > 1)  # zero variance is rejected
+        alpha = cronbach_alpha(matrix)
+        assert alpha <= 1.0
+        tiny = [[score * _TINY for score in row] for row in matrix]
+        assert cronbach_alpha(tiny) == alpha
+        reliability = max(alpha, 0.0)
+        tiny_totals = [sum(row) for row in tiny]
+        assert standard_error_of_measurement(
+            tiny_totals, reliability
+        ) / _TINY == standard_error_of_measurement(totals, reliability)

@@ -90,6 +90,25 @@ class TestLaziness:
         )
         assert result.stdout.strip() == "ok"
 
+    def test_no_module_imports_scipy(self):
+        # every serving process imports repro.core; scipy there cost
+        # each of them ~1 s of start-up and ~55 MB of RSS
+        code = (
+            "import importlib, pkgutil, sys, repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(info.name)\n"
+            "loaded = [m for m in sys.modules\n"
+            "          if m == 'scipy' or m.startswith('scipy.')]\n"
+            "print(len(loaded), ','.join(sorted(loaded)[:5]))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "0"
+
 
 class TestEndToEnd:
     def test_facade_only_pipeline(self):
