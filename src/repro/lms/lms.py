@@ -27,7 +27,9 @@ it in *shared* mode plus the sitting's own lock, so a slow submit
 cannot stall unrelated learners.  Structural mutations (offer,
 register, enroll, start) stay exclusive.  Shared result structures
 (``_results``, ``_live``, learner records) are guarded by a small
-``_commit_lock`` held only for the final appends of a submit.
+``_commit_lock`` held only for the final appends of a submit and its
+journal write, so the log holds submits in the order they committed;
+a group commit's fsync wait comes after the lock is released.
 """
 
 from __future__ import annotations
@@ -181,13 +183,33 @@ class Lms:
         authoritative serialization of that sitting's history.  While a
         batch mutator is in flight on this thread the event is buffered
         instead, and the whole buffer goes to the journal as one
-        :meth:`~repro.store.journal.Journal.append_batch`.
+        :meth:`~repro.store.journal.Journal.append_batch`.  Submits go
+        through :meth:`_write_submit` instead.
         """
         buffer = getattr(self._batch_state, "buffer", None)
         if buffer is not None:
             buffer.append((type_, data))
         elif self.journal is not None:
             self.journal.append(type_, data)
+
+    def _write_submit(self, data: Dict[str, object]) -> int:
+        """Write a ``submit`` event, after this thread's buffered batch,
+        to the journal now; returns its LSN (0 without a journal).
+
+        Called under ``_commit_lock``, so the log holds submits in the
+        order they joined ``_results``.  The caller passes the LSN to
+        :meth:`~repro.store.journal.Journal.commit` after releasing the
+        lock, so under group commit no reader of the results waits on a
+        disk flush.
+        """
+        events = [("submit", data)]
+        buffer = getattr(self._batch_state, "buffer", None)
+        if buffer is not None:
+            events = buffer + events
+            del buffer[:]
+        if self.journal is None:
+            return 0
+        return self.journal.write(events)
 
     # -- catalog & enrollment ---------------------------------------------------
 
@@ -631,13 +653,13 @@ class Lms:
                 )
                 graded = None
                 if submit:
-                    # its "submit" event lands in the buffer, after ours
+                    # writes the buffer with its "submit" event
                     graded = self._submit(learner_id, exam_id)
             finally:
                 self._batch_state.buffer = None
             # still under the sitting lock: the journal's LSN order for
             # this sitting must match the order the batches applied
-            if self.journal is not None:
+            if self.journal is not None and buffer:
                 self.journal.append_batch(buffer)
         return scored, graded
 
@@ -749,10 +771,11 @@ class Lms:
                     # drop any earlier sitting by this learner
                     live.invalidate(response.examinee_id)
                     live.add_sitting(response)
-            self._emit(
-                "submit",
-                store_events.lifecycle_event(learner_id, exam_id, now),
-            )
+                lsn = self._write_submit(
+                    store_events.lifecycle_event(learner_id, exam_id, now)
+                )
+            if lsn:
+                self.journal.commit(lsn)
         return graded
 
     def _cmi_finish(self, sitting: LmsSitting, graded: GradedSitting) -> None:

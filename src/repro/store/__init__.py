@@ -6,7 +6,8 @@ engine (see ``docs/durability.md``):
 * :class:`Journal` — segmented WAL with per-record CRC32 and monotonic
   LSNs, configurable fsync policy, torn-tail repair, batched appends
   with group commit, and two auto-detected wire formats (JSONL v1 and
-  the compact binary v2 of :mod:`repro.store.format`);
+  the compact binary format of :mod:`repro.store.format`, whose LMS
+  events are schema-coded);
 * :mod:`repro.store.events` — one journaled event per LMS mutation,
   emitted under the LMS lock, replayed through the same public
   mutators;

@@ -22,7 +22,7 @@ file never strands a deployment.
 
 Compaction is wire-format agnostic: segments are retired by the LSN in
 their *name*, so after a mid-stream upgrade (JSONL v1 tail sealed,
-binary v2 segments growing) the first checkpoint that covers the old
+binary segments growing) the first checkpoint that covers the old
 v1 files retires them exactly as it would same-format ones — the
 natural path for aging a v1 directory out entirely.
 """

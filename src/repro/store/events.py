@@ -23,6 +23,7 @@ from typing import Callable, Dict
 from repro.core.errors import StoreError
 
 __all__ = [
+    "EVENT_FIELDS",
     "EVENT_TYPES",
     "apply_event",
     "offer_event",
@@ -33,20 +34,28 @@ __all__ = [
     "calibrate_event",
 ]
 
-#: every event type a Journal written by the LMS can contain
-EVENT_TYPES = (
-    "offer",
-    "register",
-    "enroll",
-    "start",
-    "answer",
-    "answers",
-    "suspend",
-    "resume",
-    "submit",
-    "monitor",
-    "calibrate",
-)
+_LIFECYCLE = ("learner_id", "exam_id", "ts")
+
+#: every event type a Journal written by the LMS can contain, mapped to
+#: the fields its builder below writes, in order.  The binary WAL stores
+#: an event with exactly these keys as its type's one-byte code plus the
+#: values in this order (:mod:`repro.store.format` numbers the codes by
+#: position here), so this table is append-only: add new types at the
+#: end, and never reorder, rename or drop a type or a field
+EVENT_FIELDS = {
+    "offer": ("exam",),
+    "register": ("learner_id", "name", "email"),
+    "enroll": _LIFECYCLE,
+    "start": _LIFECYCLE,
+    "answer": ("learner_id", "exam_id", "item_id", "response", "ts"),
+    "answers": ("learner_id", "exam_id", "answers", "ts"),
+    "suspend": _LIFECYCLE,
+    "resume": _LIFECYCLE,
+    "submit": _LIFECYCLE,
+    "monitor": _LIFECYCLE,
+    "calibrate": ("exam_id", "version", "parameters", "ts"),
+}
+EVENT_TYPES = tuple(EVENT_FIELDS)
 
 
 # -- builders (called by the Lms, under its lock) ------------------------------

@@ -2,25 +2,36 @@
 
 Version-1 segments are JSON lines — readable, but every record pays two
 ``json.dumps`` passes (one canonical for the CRC, one with the CRC
-folded in) and the reader re-canonicalizes to verify.  Version-2
-segments replace that with a length-prefixed binary layout built from
-nothing but :mod:`struct` and a varint — no third-party codec:
+folded in) and the reader re-canonicalizes to verify.  Binary segments
+replace that with a length-prefixed layout built from nothing but
+:mod:`struct` and a varint — no third-party codec:
 
 Segment layout::
 
     +--------------------------------------------------+
-    | header: b"MAWL" | u16 version (=2) | u16 reserved |   8 bytes
+    | header: b"MAWL" | u16 version (=3) | u16 reserved |   8 bytes
     +--------------------------------------------------+
     | record: varint body_len | u32 crc32(body) | body  |   repeated
     +--------------------------------------------------+
 
-Record body::
+Record body, in one of two forms told apart by the byte after the LSN::
 
-    varint lsn | value(type) | value(data)
+    varint lsn | event code | value(field_1) ... value(field_n)   code form
+    varint lsn | value(type) | value(data)                        fallback
 
-where ``value`` is the tag-prefixed encoding below.  All fixed-width
-integers are little-endian; varints are unsigned LEB128 (7 bits per
-byte, high bit = continuation).
+The **code form** carries an LMS event whose payload has exactly the
+fields :data:`repro.store.events.EVENT_FIELDS` lists for its type, in
+that order: the type is one byte, numbered from ``0x10`` by the type's
+position in that table, and the field names are not written at all.
+Any other payload — an unknown type, or keys that differ from the
+table's — takes the **fallback form**, whose type is a ``str`` value
+(tag ``0x05``, below every event code).  The fallback form is the whole
+of the version-2 body, so one decoder reads both versions.  The table is
+append-only: a code, once written, must keep its meaning.
+
+``value`` is the tag-prefixed encoding below.  All fixed-width integers
+are little-endian; varints are unsigned LEB128 (7 bits per byte, high
+bit = continuation).
 
 Value encoding (one tag byte, then the payload)::
 
@@ -31,12 +42,17 @@ Value encoding (one tag byte, then the payload)::
     0x06 list       varint count + elements
     0x07 dict       varint count + (str-encoded key, value) pairs
 
+Header version 3 marks segments that may hold code-form records, so a
+reader that knows only version 2 stops at the header instead of
+misreading them; this reader accepts :data:`SEGMENT_VERSIONS` and
+raises :class:`UnsupportedVersionError` for any other.
+
 The CRC32 covers the raw body bytes, so verification is a single
 :func:`zlib.crc32` over a slice — no re-canonicalization.  A record cut
 short by a crash fails the length or CRC check and marks the torn tail,
 exactly like a torn JSONL line does in a v1 segment; the framing layer
 (:func:`repro.store.journal.scan_segment`) auto-detects the format per
-segment, so directories that mix v1 and v2 files — e.g. after a
+segment, so directories that mix v1 and binary files — e.g. after a
 mid-stream format upgrade — replay seamlessly.
 """
 
@@ -45,9 +61,15 @@ from __future__ import annotations
 import struct
 from typing import Dict, List, Tuple
 
+from repro.store.events import EVENT_FIELDS
+
 __all__ = [
+    "EVENT_CODES",
     "SEGMENT_MAGIC",
     "SEGMENT_HEADER_LEN",
+    "SEGMENT_VERSION",
+    "SEGMENT_VERSIONS",
+    "UnsupportedVersionError",
     "segment_header",
     "check_segment_header",
     "encode_varint",
@@ -63,7 +85,10 @@ SEGMENT_MAGIC = b"MAWL"
 #: full header: magic + u16 version + u16 reserved
 SEGMENT_HEADER_LEN = 8
 
-_VERSION = 2
+#: the header version new segments get
+SEGMENT_VERSION = 3
+#: every header version this reader decodes (2 never holds code form)
+SEGMENT_VERSIONS = (2, 3)
 
 _TAG_NULL = 0x00
 _TAG_FALSE = 0x01
@@ -74,16 +99,31 @@ _TAG_STR = 0x05
 _TAG_LIST = 0x06
 _TAG_DICT = 0x07
 
+#: event type -> its one-byte code in a code-form record body
+EVENT_CODES = {
+    type_: 0x10 + index for index, type_ in enumerate(EVENT_FIELDS)
+}
+_BY_CODE = {
+    code: (type_, EVENT_FIELDS[type_]) for type_, code in EVENT_CODES.items()
+}
+
 _DOUBLE = struct.Struct("<d")
 
 
-def segment_header(version: int = _VERSION) -> bytes:
+class UnsupportedVersionError(ValueError):
+    """A whole segment header with the right magic names a version this
+    reader does not know: a newer build wrote the segment."""
+
+
+def segment_header(version: int = SEGMENT_VERSION) -> bytes:
     """The 8-byte header a binary segment begins with."""
     return SEGMENT_MAGIC + struct.pack("<HH", version, 0)
 
 
-def check_segment_header(raw: bytes) -> None:
-    """Validate a segment's leading bytes; ValueError on any defect."""
+def check_segment_header(raw: bytes) -> int:
+    """Validate a segment's leading bytes and return the header version;
+    ValueError on any defect (:class:`UnsupportedVersionError` when only
+    the version is wrong)."""
     if len(raw) < SEGMENT_HEADER_LEN:
         raise ValueError(
             f"segment header truncated ({len(raw)} of "
@@ -92,11 +132,12 @@ def check_segment_header(raw: bytes) -> None:
     if raw[:4] != SEGMENT_MAGIC:
         raise ValueError(f"bad segment magic {raw[:4]!r}")
     (version,) = struct.unpack_from("<H", raw, 4)
-    if version != _VERSION:
-        raise ValueError(
+    if version not in SEGMENT_VERSIONS:
+        raise UnsupportedVersionError(
             f"unsupported binary segment version {version}; "
             f"this WAL needs a newer reader"
         )
+    return version
 
 
 # -- varints -------------------------------------------------------------------
@@ -252,18 +293,33 @@ def decode_value(raw: bytes, offset: int = 0) -> Tuple[object, int]:
 
 
 def encode_body(lsn: int, type_: str, data: Dict[str, object]) -> bytes:
-    """A record body: varint lsn + value(type) + value(data)."""
+    """A record body: varint lsn, then the event in code form when
+    ``data`` has exactly its type's fields in order, else in fallback
+    form (value(type) + value(data))."""
     out = bytearray(encode_varint(lsn))
-    _encode_into(out, type_)
-    _encode_into(out, data)
+    code = EVENT_CODES.get(type_)
+    if code is not None and tuple(data) == EVENT_FIELDS[type_]:
+        out.append(code)
+        for value in data.values():
+            _encode_into(out, value)
+    else:
+        _encode_into(out, type_)
+        _encode_into(out, data)
     return bytes(out)
 
 
 def decode_body(body: bytes) -> Tuple[int, str, Dict[str, object]]:
     """``(lsn, type, data)``; ValueError on any structural defect."""
     lsn, offset = decode_varint(body, 0)
-    type_, offset = decode_value(body, offset)
-    data, offset = decode_value(body, offset)
+    if offset < len(body) and body[offset] in _BY_CODE:
+        type_, fields = _BY_CODE[body[offset]]
+        offset += 1
+        data = {}
+        for name in fields:
+            data[name], offset = decode_value(body, offset)
+    else:
+        type_, offset = decode_value(body, offset)
+        data, offset = decode_value(body, offset)
     if offset != len(body):
         raise ValueError(
             f"{len(body) - offset} trailing byte(s) after record body"

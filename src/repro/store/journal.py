@@ -16,7 +16,10 @@ unchanged after an upgrade):
 * ``format=2`` — compact binary (``wal-<lsn>.walb``): an 8-byte header
   (magic + version) then length-prefixed records
   (varint length + u32 CRC32 + struct-packed body; see
-  :mod:`repro.store.format`).  Every serving process writes this.
+  :mod:`repro.store.format`).  Every serving process writes this, with
+  the current header version (3: LMS events schema-coded); segments
+  with header version 2 are still read, and :meth:`Journal.open` seals
+  a version-2 tail rather than appending to it.
 * ``format=1`` — JSON lines (``wal-<lsn>.jsonl``): one canonical JSON
   object per line with an embedded ``crc`` field.  Still read, so old
   directories recover, tail and upgrade in place; ``Journal(format=1)``
@@ -53,7 +56,9 @@ Reading tolerates a **torn tail**: a record that fails to parse or
 checksum in the *final* segment marks the end of the log (everything
 after it is ignored, and :meth:`Journal.open` physically truncates it).
 The same failure in an earlier segment is real corruption and raises
-:class:`JournalCorruptError`.
+:class:`JournalCorruptError`.  So does a binary segment whose header has
+the right magic but a version this reader does not know, wherever it
+is: a newer build wrote it, and no reader here may drop or repair it.
 """
 
 from __future__ import annotations
@@ -206,9 +211,12 @@ class TailScan:
     torn_bytes: int = 0
     #: the decode error that ended the scan, if any
     error: Optional[str] = None
-    #: the v2 header is whole but wrong (bad magic or version): unlike a
-    #: torn record, no later write can make it readable
+    #: the binary header is whole but its magic is wrong: unlike a torn
+    #: record, no later write can make it readable
     bad_header: bool = False
+    #: the binary header's version (0 for JSONL, or when no whole header
+    #: was read)
+    version: int = 0
 
 
 def _decode_v1(raw: bytes, start: int, scan: TailScan) -> None:
@@ -242,7 +250,9 @@ def _decode_v2(raw: bytes, start: int, scan: TailScan) -> None:
             # created but never written (crash before the header): clean-empty
             return
         try:
-            binfmt.check_segment_header(raw)
+            scan.version = binfmt.check_segment_header(raw)
+        except binfmt.UnsupportedVersionError:
+            raise  # not a torn tail: scan_segment reports it
         except ValueError as exc:
             # a torn header means no record ever landed; the whole file
             # is the torn tail and repair truncates it back to nothing
@@ -283,13 +293,18 @@ def scan_segment(path: Path, offset: int = 0) -> TailScan:
     semantics).  ``offset`` must be a record boundary: 0, or the
     ``valid_bytes`` of an earlier scan of the same file, which is how
     the tailer resumes.  The wire format is auto-detected from the
-    file suffix."""
+    file suffix.  A binary header of an unknown version raises
+    :class:`JournalCorruptError`: the bytes are a newer build's records,
+    not a torn tail to drop."""
     decode = _DECODERS[segment_format(path)]
     with path.open("rb") as stream:
         stream.seek(offset)
         raw = stream.read()
     scan = TailScan(valid_bytes=offset)
-    decode(raw, offset, scan)
+    try:
+        decode(raw, offset, scan)
+    except binfmt.UnsupportedVersionError as exc:
+        raise JournalCorruptError(f"segment {path.name}: {exc}") from None
     scan.torn_bytes = offset + len(raw) - scan.valid_bytes
     return scan
 
@@ -434,7 +449,11 @@ class Journal:
         *creates*; existing segments keep their own format, so opening
         an old JSONL directory with ``format=2`` upgrades the log
         mid-stream — the tail segment is sealed as-is and the next
-        append starts a binary one.
+        append starts a binary one.  A binary tail with an older header
+        version is upgraded the same way; one that holds no record is
+        restarted under the current header instead.  A tail whose header
+        version is unknown raises :class:`JournalCorruptError` and is
+        left untouched.
         """
         base = Path(directory)
         base.mkdir(parents=True, exist_ok=True)
@@ -467,7 +486,16 @@ class Journal:
             # whatever survived the open scan is on disk by definition
             journal._durable_lsn = journal._last_lsn
             if segment_format(tail) == journal.format:
-                journal._open_segment(tail, append=True)
+                current = scan.version == binfmt.SEGMENT_VERSION
+                if journal.format == 1 or current:
+                    journal._open_segment(tail, append=True)
+                elif not scan.records:
+                    # no record behind an older (or torn) header, and the
+                    # successor would take this name: restart the file
+                    tail.write_bytes(b"")
+                    journal._open_segment(tail, append=True)
+                # else: an older header version; seal it like a format
+                # change, and the next append starts a current segment
             # else: leave the tail sealed; the next append opens a new
             # segment in the configured format (mid-stream upgrade)
         return journal
@@ -500,8 +528,7 @@ class Journal:
         """
         with self._lock:
             lsn = self._append_locked(((type_, data),))
-        if self._gc_enabled():
-            self._commit_group(lsn)
+        self.commit(lsn)
         return lsn
 
     def append_batch(
@@ -520,9 +547,32 @@ class Journal:
             last = self._append_locked(tuple(events))
             self.batch_appends += 1
             self._count("store.batch_appends")
-        if self._gc_enabled():
-            self._commit_group(last)
+        self.commit(last)
         return list(range(last - len(events) + 1, last + 1))
+
+    def write(self, events: Sequence[Tuple[str, Dict[str, object]]]) -> int:
+        """The write half of :meth:`append_batch`; returns the last LSN.
+
+        The records take their place in the log, are flushed to the OS
+        and are fsynced per the policy — except under group commit,
+        where the caller must :meth:`commit` the returned LSN before it
+        acknowledges them.  A caller can so fix the log order under its
+        own lock and wait for the disk after releasing it.  More than
+        one record counts as a batch append.
+        """
+        events = tuple(events)
+        with self._lock:
+            last = self._append_locked(events)
+            if len(events) > 1:
+                self.batch_appends += 1
+                self._count("store.batch_appends")
+        return last
+
+    def commit(self, lsn: int) -> None:
+        """The wait half: under group commit, block until ``lsn`` is
+        fsynced; every other policy already applied at :meth:`write`."""
+        if self._gc_enabled():
+            self._commit_group(lsn)
 
     def sync(self) -> None:
         """Force an fsync of the active segment (any policy)."""

@@ -17,8 +17,9 @@ What it survives, by design:
 * **mid-read segment rotation** — a sealed segment is drained to its
   last record, then the successor (named ``wal-<last_lsn + 1>``) is
   picked up in the same poll;
-* **seal-and-continue format upgrade** — a v1 JSONL tail sealed by a
-  ``format=2`` reopen is followed into the binary successor segment
+* **seal-and-continue upgrades** — a v1 JSONL tail sealed by a
+  ``format=2`` reopen, or a version-2 binary tail sealed by a reopen
+  that writes version 3, is followed into its successor segment
   transparently (the format is re-detected per segment);
 * **a torn tail** — a half-written record at the tip is *not* an
   error: the tailer holds its offset at the last whole record and

@@ -12,6 +12,7 @@ import zlib
 import pytest
 
 from repro.core.errors import JournalCorruptError, StoreError
+from repro.store.events import register_event
 from repro.store.format import SEGMENT_HEADER_LEN, segment_header
 from repro.store.journal import (
     FSYNC_POLICIES,
@@ -23,6 +24,7 @@ from repro.store.journal import (
     segment_files,
     segment_format,
 )
+from repro.store.recovery import recover
 
 
 @pytest.fixture(params=JOURNAL_FORMATS, ids=lambda f: f"format{f}")
@@ -326,6 +328,75 @@ class TestTornTail:
         assert scan.error is not None
         assert scan.valid_bytes + scan.torn_bytes == len(whole) - 5
         assert len(scan.records) == 2
+
+
+class TestHeaderVersions:
+    """Version-2 tails are sealed and continued in version 3; a header
+    of a version this reader does not know is never dropped."""
+
+    def rotated(self, tmp_path):
+        """Six register events, rotated after three: the final segment
+        holds LSNs 4-6."""
+        with Journal.open(tmp_path, fsync="never") as journal:
+            for index in range(6):
+                if index == 3:
+                    journal.rotate()
+                journal.append("register", register_event(f"l{index}", "", ""))
+        segments = segment_files(tmp_path)
+        assert len(segments) == 2
+        return segments[-1]
+
+    def set_version(self, segment, version):
+        raw = bytearray(segment.read_bytes())
+        raw[4:6] = version.to_bytes(2, "little")
+        segment.write_bytes(bytes(raw))
+        return bytes(raw)
+
+    def test_unknown_tail_version_raises_and_keeps_the_bytes(self, tmp_path):
+        tail = self.rotated(tmp_path)
+        damaged = self.set_version(tail, 99)
+        with pytest.raises(JournalCorruptError, match="version 99"):
+            list(read_records(tmp_path))
+        with pytest.raises(JournalCorruptError, match="version 99"):
+            recover(tmp_path)
+        with pytest.raises(JournalCorruptError, match="version 99"):
+            Journal.open(tmp_path, fsync="never")
+        assert tail.read_bytes() == damaged
+        # once a reader that knows the version is back, all six survive
+        self.set_version(tail, 3)
+        assert [r.lsn for r in read_records(tmp_path)] == list(range(1, 7))
+
+    def test_wrong_magic_is_still_a_torn_tail(self, tmp_path):
+        tail = self.rotated(tmp_path)
+        size = tail.stat().st_size
+        tail.write_bytes(b"XXXX" + tail.read_bytes()[4:])
+        assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3]
+        with Journal.open(tmp_path, fsync="never") as journal:
+            assert journal.repaired_bytes == size
+            assert journal.append("register", register_event("z", "", "")) == 4
+
+    def test_v2_tail_is_sealed_and_continued_in_v3(self, tmp_path):
+        tail = self.rotated(tmp_path)
+        sealed = self.set_version(tail, 2)
+        with Journal.open(tmp_path, fsync="never") as journal:
+            assert journal.repaired_bytes == 0
+            assert journal.append("register", register_event("z", "", "")) == 7
+        segments = segment_files(tmp_path)
+        assert [p.read_bytes()[4] for p in segments] == [3, 2, 3]
+        assert segments[1].read_bytes() == sealed
+        assert segments[2].name == "wal-00000000000000000007.walb"
+        assert [r.lsn for r in read_records(tmp_path)] == list(range(1, 8))
+
+    def test_header_only_v2_tail_is_restarted_in_v3(self, tmp_path):
+        # no record behind the old header: its successor would take the
+        # same name, so the file itself is rewritten under version 3
+        tail = tmp_path / "wal-00000000000000000001.walb"
+        tail.write_bytes(segment_header(version=2))
+        with Journal.open(tmp_path, fsync="never") as journal:
+            assert journal.append("register", register_event("a", "", "")) == 1
+        assert segment_files(tmp_path) == [tail]
+        assert tail.read_bytes()[:SEGMENT_HEADER_LEN] == segment_header()
+        assert [r.lsn for r in read_records(tmp_path)] == [1]
 
 
 class TestRetirement:

@@ -4,6 +4,7 @@
 same offset-based decoder, so a tailer that polls a segment while it
 grows byte by byte must end up with exactly the records one scan of the
 finished segment finds: each once, in LSN order, whatever the cuts.
+The writes mix schema-coded LMS events with fallback-form payloads.
 """
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import JournalCorruptError
+from repro.store.events import answer_event, lifecycle_event
 from repro.store.format import segment_header
 from repro.store.journal import (
     JOURNAL_FORMATS,
@@ -20,17 +22,40 @@ from repro.store.journal import (
 )
 from repro.store.tail import JournalTailer
 
-payloads = st.fixed_dictionaries(
-    {
-        "n": st.integers(min_value=-(2**40), max_value=2**40),
-        "s": st.text(
-            alphabet=st.characters(blacklist_categories=("Cs",)),
-            max_size=12,
+texts = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12
+)
+stamps = st.floats(allow_nan=False, allow_infinity=False)
+#: (type, data) pairs: fallback-form payloads, and LMS events that take
+#: the code form
+events = st.one_of(
+    st.tuples(
+        st.just("answer"),
+        st.fixed_dictionaries(
+            {
+                "n": st.integers(min_value=-(2**40), max_value=2**40),
+                "s": texts,
+            }
         ),
-    }
+    ),
+    st.tuples(
+        st.sampled_from(["enroll", "start", "submit"]),
+        st.builds(lifecycle_event, texts, texts, stamps),
+    ),
+    st.tuples(
+        st.just("answer"),
+        st.builds(
+            answer_event,
+            texts,
+            texts,
+            texts,
+            st.none() | texts | st.lists(texts, max_size=3),
+            stamps,
+        ),
+    ),
 )
 #: each inner list is one write: a single append, or an append_batch
-writes = st.lists(st.lists(payloads, min_size=1, max_size=4), min_size=1,
+writes = st.lists(st.lists(events, min_size=1, max_size=4), min_size=1,
                   max_size=10)
 
 
@@ -38,9 +63,9 @@ def write_segment(directory, fmt, groups):
     with Journal.open(directory, fsync="never", format=fmt) as journal:
         for group in groups:
             if len(group) == 1:
-                journal.append("answer", group[0])
+                journal.append(*group[0])
             else:
-                journal.append_batch([("answer", data) for data in group])
+                journal.append_batch(group)
     (segment,) = segment_files(directory)
     return segment
 
