@@ -598,12 +598,12 @@ def _cmd_recover(args) -> int:
         # merge the per-shard recoveries into one whole-cohort LMS:
         # export each shard's state, merge the payloads (learners are
         # disjoint; exams are broadcast duplicates), reload
-        from repro.lms.persistence import _collect_payload
+        from repro.lms.persistence import collect_payload
 
         try:
             lms = lms_from_payload(
                 merge_payloads(
-                    [_collect_payload(report.lms) for report in reports]
+                    [collect_payload(report.lms) for report in reports]
                 )
             )
         except Exception as exc:

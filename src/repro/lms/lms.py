@@ -136,8 +136,9 @@ class Lms:
         #: the shard-level lock guarding the LMS's shared structures.
         #: ``with lms.lock:`` takes it **exclusively** — the world is
         #: quiesced, exactly the old coarse-``RLock`` semantics (hold it
-        #: yourself to make a multi-call sequence atomic, e.g.
-        #: snapshotting via :func:`repro.lms.persistence.save_lms`).
+        #: yourself to make a multi-call sequence atomic, e.g. reading
+        #: the journal LSN and :func:`repro.lms.persistence.collect_payload`
+        #: in one critical section, as checkpoints do).
         #: Hot paths take :meth:`ShardLock.shared` plus the sitting's
         #: own lock instead, so unrelated learners proceed in parallel.
         self.lock = ShardLock(self.lock_stats)

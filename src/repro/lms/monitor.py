@@ -200,7 +200,7 @@ class ExamMonitor:
         Everything a restart would otherwise lose: configuration, the
         retained frames (payloads base64-encoded), the capture schedule,
         per-sitting drop counts, and the lifetime totals.  Consumed by
-        :func:`repro.lms.persistence.save_lms`.
+        :func:`repro.lms.persistence.collect_payload`.
         """
         with self._lock:
             return self._export_state_locked()

@@ -18,10 +18,15 @@ Restores re-anchor the clock: the snapshot records the writer's
 stored timestamps stay comparable and an in-progress sitting keeps
 ticking instead of jumping (``time.monotonic`` restarts every boot).
 
-Writes are **atomic**: the payload lands in a temporary file in the
-destination directory and is :func:`os.replace`-d into place, so a crash
-(or a killed snapshot thread) mid-write can never leave a truncated,
-unloadable state file behind — the previous snapshot survives intact.
+A save has two halves.  :func:`collect_payload` copies the state under
+:attr:`Lms.lock`; the copy shares no mutable object with the live LMS.
+:func:`save_lms` then writes it after the lock is released, so writers
+are not held up by encoding or disk.  The write streams compact JSON
+record by record into a temporary file in the destination directory,
+fsyncs it, :func:`os.replace`-s it into place and fsyncs the directory.
+A crash (or a killed snapshot thread) mid-write can never leave a
+truncated, unloadable state file behind — the previous snapshot survives
+intact — and once :func:`save_lms` returns the file survives power loss.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.errors import BankError
 from repro.bank.exambank import exam_from_record, exam_to_record
@@ -45,6 +50,7 @@ from repro.lms.tracking import EventKind
 
 __all__ = [
     "save_lms",
+    "collect_payload",
     "load_lms",
     "load_payload",
     "lms_from_payload",
@@ -52,6 +58,8 @@ __all__ = [
 ]
 
 _FORMAT = "mine-lms-v1"
+#: the one snapshot encoding: compact separators keep the C encoder
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _scored_to_record(score: ScoredResponse) -> Dict[str, object]:
@@ -74,15 +82,71 @@ def _scored_from_record(record: Dict[str, object]) -> ScoredResponse:
     )
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory temp + rename."""
-    directory = path.parent if str(path.parent) else Path(".")
+def _json_chunks(value: object, depth: int = 0) -> Iterator[str]:
+    """``value`` as compact JSON, in pieces of about one record.
+
+    Dicts in the top two levels (the payload, and sections such as
+    ``results`` and ``monitor``) are written member by member; lists in
+    the top three levels (``exams``, ``tracking``, ``sittings``, each
+    exam's ``results``, the monitor's ``frames`` ...) element by
+    element, one encoder call per element.  Joined, the pieces equal
+    ``json.dumps(value, separators=(",", ":"))``.
+    """
+    if isinstance(value, dict) and depth < 2:
+        yield "{"
+        separator = ""
+        for key, member in value.items():
+            yield f"{separator}{_ENCODE(key)}:"
+            yield from _json_chunks(member, depth + 1)
+            separator = ","
+        yield "}"
+    elif isinstance(value, list) and depth < 3:
+        yield "["
+        separator = ""
+        for element in value:
+            yield separator + _ENCODE(element)
+            separator = ","
+        yield "]"
+    else:
+        yield _ENCODE(value)
+
+
+def save_lms(
+    lms: "Lms | Dict[str, object]",
+    path: "str | Path",
+    wal_lsn: Optional[int] = None,
+) -> None:
+    """Write the LMS's durable state to a JSON file, atomically and durably.
+
+    ``lms`` is an :class:`Lms`, whose state :func:`collect_payload`
+    copies under :attr:`Lms.lock`, or a payload already collected that
+    way.  The write itself holds no LMS lock: the payload streams to a
+    temp file in the destination directory about one record per
+    ``write()``, the file is fsynced, :func:`os.replace`-d over
+    ``path``, and the directory fsynced.  A failed write removes the
+    temp file and leaves the previous file intact.  The bytes equal
+    ``json.dumps(payload, separators=(",", ":"))``, which
+    :func:`load_payload` reads like the indented files older builds
+    wrote.
+
+    ``wal_lsn`` stamps the snapshot with the highest journal LSN it
+    covers.  The checkpoint engine (:mod:`repro.store.checkpoint`)
+    reads that LSN and collects the payload in one critical section,
+    then passes both here; recovery replays only records past it.
+    """
+    payload = lms if isinstance(lms, dict) else collect_payload(lms)
+    if wal_lsn is not None:
+        payload = dict(payload, wal_lsn=int(wal_lsn))
+    path = Path(path)
     handle, tmp_name = tempfile.mkstemp(
-        dir=str(directory), prefix=f".{path.name}.", suffix=".tmp"
+        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
     )
     try:
         with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(text)
+            for chunk in _json_chunks(payload):
+                stream.write(chunk)
+            stream.flush()
+            os.fsync(stream.fileno())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -90,100 +154,93 @@ def _write_atomic(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+    directory = os.open(str(path.parent), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
-def save_lms(
-    lms: Lms, path: "str | Path", wal_lsn: Optional[int] = None
-) -> None:
-    """Write the LMS's durable state to a JSON file, atomically.
+def collect_payload(lms: Lms) -> Dict[str, object]:
+    """The collect half of a save: the LMS's durable state as a payload.
 
-    The whole collection happens under :attr:`Lms.lock`, so a snapshot
-    taken while server threads are mutating the LMS is a consistent
-    point-in-time view, and the temp-file + :func:`os.replace` dance
-    guarantees the file on disk is always a complete snapshot.
-
-    ``wal_lsn`` stamps the snapshot with the highest journal LSN it
-    covers — the checkpoint engine (:mod:`repro.store.checkpoint`)
-    passes it while holding the LMS lock, and recovery replays only
-    records past it.
+    Taken under :attr:`Lms.lock` (exclusive and reentrant, so a caller
+    may hold it around this call to read more state in the same
+    critical section).  The payload is a deep copy whose leaves are
+    immutable, so mutations after the lock is released never reach it.
     """
     with lms.lock:
-        payload = _collect_payload(lms)
-        if wal_lsn is not None:
-            payload["wal_lsn"] = int(wal_lsn)
-    _write_atomic(Path(path), json.dumps(payload, indent=2))
-
-
-def _collect_payload(lms: Lms) -> Dict[str, object]:
-    learners: List[Dict[str, object]] = []
-    for learner in lms.learners:
-        learners.append(
-            {
-                "learner_id": learner.learner_id,
-                "name": learner.name,
-                "email": learner.email,
-                "course_status": dict(learner.course_status),
-                "course_scores": dict(learner.course_scores),
-            }
-        )
-    results: Dict[str, List[Dict[str, object]]] = {}
-    for exam_id in lms.offered_exams():
-        sittings = []
-        for sitting in lms.results_for(exam_id):
-            sittings.append(
+        learners: List[Dict[str, object]] = []
+        for learner in lms.learners:
+            learners.append(
                 {
-                    "learner_id": sitting.learner_id,
-                    "duration_seconds": sitting.duration_seconds,
-                    "answer_times": list(sitting.answer_times),
-                    "scores": {
-                        item_id: _scored_to_record(score)
-                        for item_id, score in sitting.scores.items()
-                    },
+                    "learner_id": learner.learner_id,
+                    "name": learner.name,
+                    "email": learner.email,
+                    "course_status": dict(learner.course_status),
+                    "course_scores": dict(learner.course_scores),
                 }
             )
-        results[exam_id] = sittings
-    events = [
-        {
-            "kind": event.kind.value,
-            "learner_id": event.learner_id,
-            "course_id": event.course_id,
-            "timestamp": event.timestamp,
-            "detail": event.detail,
-        }
-        for event in lms.tracking
-    ]
-    sittings = [
-        {
-            "learner_id": sitting.learner_id,
-            "exam_id": sitting.exam_id,
-            "item_order": list(sitting.item_order),
-            "session": sitting.session.export_state(),
-        }
-        for sitting in lms._sittings.values()
-    ]
-    calibrations = {}
-    for exam_id, (version, overlay) in lms._calibrations.items():
-        from repro.adaptive.online import parameters_to_record
+        results: Dict[str, List[Dict[str, object]]] = {}
+        for exam_id in lms.offered_exams():
+            sittings = []
+            for sitting in lms.results_for(exam_id):
+                sittings.append(
+                    {
+                        "learner_id": sitting.learner_id,
+                        "duration_seconds": sitting.duration_seconds,
+                        "answer_times": list(sitting.answer_times),
+                        "scores": {
+                            item_id: _scored_to_record(score)
+                            for item_id, score in sitting.scores.items()
+                        },
+                    }
+                )
+            results[exam_id] = sittings
+        events = [
+            {
+                "kind": event.kind.value,
+                "learner_id": event.learner_id,
+                "course_id": event.course_id,
+                "timestamp": event.timestamp,
+                "detail": event.detail,
+            }
+            for event in lms.tracking
+        ]
+        sittings = [
+            {
+                "learner_id": sitting.learner_id,
+                "exam_id": sitting.exam_id,
+                "item_order": list(sitting.item_order),
+                "session": sitting.session.export_state(),
+            }
+            for sitting in lms._sittings.values()
+        ]
+        calibrations = {}
+        for exam_id, (version, overlay) in lms._calibrations.items():
+            from repro.adaptive.online import parameters_to_record
 
-        calibrations[exam_id] = {
-            "version": version,
-            "parameters": parameters_to_record(overlay),
+            calibrations[exam_id] = {
+                "version": version,
+                "parameters": parameters_to_record(overlay),
+            }
+        return {
+            "format": _FORMAT,
+            "clock": lms.clock.now(),
+            "exams": [
+                exam_to_record(lms.exam(e)) for e in lms.offered_exams()
+            ],
+            "calibrations": calibrations,
+            "learners": learners,
+            "enrollment": {
+                exam_id: sorted(lms.enrolled(exam_id))
+                for exam_id in lms.offered_exams()
+            },
+            "results": results,
+            "tracking": events,
+            "monitor": lms.monitor.export_state(),
+            "sittings": sittings,
         }
-    return {
-        "format": _FORMAT,
-        "clock": lms.clock.now(),
-        "exams": [exam_to_record(lms.exam(e)) for e in lms.offered_exams()],
-        "calibrations": calibrations,
-        "learners": learners,
-        "enrollment": {
-            exam_id: sorted(lms.enrolled(exam_id))
-            for exam_id in lms.offered_exams()
-        },
-        "results": results,
-        "tracking": events,
-        "monitor": lms.monitor.export_state(),
-        "sittings": sittings,
-    }
 
 
 def load_payload(path: "str | Path") -> Dict[str, object]:

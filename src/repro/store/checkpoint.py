@@ -1,8 +1,8 @@
 """Checkpointing and WAL compaction.
 
 A write-ahead log grows without bound; the checkpoint engine bounds it.
-:meth:`Checkpointer.checkpoint` writes a consistent LMS snapshot
-(:func:`repro.lms.persistence.save_lms`, which includes in-flight
+:meth:`Checkpointer.checkpoint` takes a consistent LMS snapshot (the
+payload of :mod:`repro.lms.persistence`, which includes in-flight
 sittings — a checkpoint must never truncate a learner mid-exam) stamped
 with the highest LSN it covers, seals the active segment, and then
 **retires** every sealed segment whose records are all ``<=`` that LSN.
@@ -11,14 +11,32 @@ the exact live state (:func:`repro.store.recovery.recover`), so deleting
 covered history is safe by construction — the compaction property tests
 replay from every checkpoint a run produced and assert convergence.
 
-The LSN is read and the snapshot collected in one critical section on
-:attr:`Lms.lock` — the same lock every mutator appends under — so a
-snapshot covers *exactly* the records up to its stamp, never a torn
-prefix of a mutation.
+A pass runs in three steps:
 
-Snapshots are named ``checkpoint-<lsn>.json`` next to the WAL segments;
-the newest ``keep`` (default 2) are retained so one corrupted snapshot
-file never strands a deployment.
+1. Under :attr:`Lms.lock` — the lock every mutator appends under — it
+   reads the LSN and collects the payload
+   (:func:`~repro.lms.persistence.collect_payload`), in one critical
+   section.  The snapshot so covers *exactly* the records up to its
+   stamp, never a torn prefix of a mutation.
+2. With the lock released, :func:`~repro.lms.persistence.save_lms`
+   streams the payload as compact JSON to a temp file, fsyncs it,
+   renames it to ``checkpoint-<lsn>.json`` and fsyncs the directory.
+   Writers proceed meanwhile; their records land above the stamp.
+3. Only once the file and its directory entry are durable does it
+   rotate the journal, retire covered segments and prune old snapshots,
+   so a power loss can never leave history deleted behind a snapshot
+   that did not reach the disk.
+
+The write runs outside the LMS lock, so the checkpointer serializes
+passes itself: one pass at a time per instance.
+
+Snapshots sit next to the WAL segments, and the newest ``keep``
+(default 2) are retained.  An older one is a point-in-time copy of the
+state, not a recovery fallback: compaction retires segments against the
+newest snapshot, so the records between an older one and the newest
+are usually gone.  Recovering from it (say the newest file was deleted)
+raises :class:`~repro.core.errors.StoreError` naming the missing LSN
+range instead of silently dropping them.
 
 Compaction is wire-format agnostic: segments are retired by the LSN in
 their *name*, so after a mid-stream upgrade (JSONL v1 tail sealed,
@@ -29,6 +47,7 @@ natural path for aging a v1 directory out entirely.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -94,7 +113,12 @@ class CheckpointResult:
 
 
 class Checkpointer:
-    """Periodic/on-demand snapshot-and-compact for one LMS + journal."""
+    """Periodic/on-demand snapshot-and-compact for one LMS + journal.
+
+    One pass at a time: :meth:`checkpoint` holds the instance's own
+    lock for the whole pass and :attr:`Lms.lock` only while collecting,
+    so the lock order is pass lock, then LMS lock.
+    """
 
     def __init__(
         self,
@@ -115,20 +139,24 @@ class Checkpointer:
         self.checkpoints_taken = 0
         #: highest LSN any checkpoint this instance wrote has covered
         self.last_covered_lsn = 0
+        self._pass_lock = threading.Lock()
 
     def checkpoint(self) -> CheckpointResult:
         """Snapshot now, then retire covered segments and old snapshots."""
-        from repro.lms.persistence import save_lms
+        from repro.lms.persistence import collect_payload, save_lms
 
-        with obs.span("store.checkpoint"):
+        with self._pass_lock, obs.span("store.checkpoint"):
             self.directory.mkdir(parents=True, exist_ok=True)
-            # one critical section: the LSN stamp and the state snapshot
-            # see the same instant, so the snapshot covers exactly the
-            # records up to `covered`
+            # one critical section: the LSN stamp and the collected
+            # state see the same instant, so the snapshot covers exactly
+            # the records up to `covered`
             with self.lms.lock:
                 covered = self.journal.last_lsn
-                path = self.directory / _checkpoint_name(covered)
-                save_lms(self.lms, path, wal_lsn=covered)
+                payload = collect_payload(self.lms)
+            # writers run again while the snapshot is encoded and made
+            # durable; nothing it covers is deleted before that
+            path = self.directory / _checkpoint_name(covered)
+            save_lms(payload, path, wal_lsn=covered)
             # seal the active segment so the *next* checkpoint can
             # retire everything written up to this one
             self.journal.rotate()

@@ -15,7 +15,11 @@ Idempotence / dedup: records with ``lsn <=`` the snapshot's ``wal_lsn``
 are already folded into the snapshot and are skipped, so recovering
 from any checkpoint plus the remaining WAL suffix converges on the same
 state — the invariant that makes compaction
-(:mod:`repro.store.checkpoint`) safe.
+(:mod:`repro.store.checkpoint`) safe.  The suffix must start right
+above the snapshot: when the oldest segment begins further up (its
+predecessors were retired against a newer snapshot that is gone),
+recovery raises :class:`~repro.core.errors.StoreError` naming the
+missing LSN range rather than replay around the hole.
 
 A torn tail (a record cut short by the crash) is *expected*, not
 corruption: the journal reader stops at the first damaged record of the
@@ -31,8 +35,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.core.errors import JournalCorruptError, StoreError
 from repro.store import events as store_events
-from repro.store.journal import scan_segment, segment_files
+from repro.store.journal import scan_segment, segment_files, segment_first_lsn
 
 __all__ = ["ReplayClock", "RecoveryReport", "recover", "state_fingerprint"]
 
@@ -129,7 +134,9 @@ def recover(
     callers that will keep serving open the
     :class:`~repro.store.journal.Journal` afterwards and
     :meth:`~repro.lms.lms.Lms.attach_journal` it — attaching before
-    replay would re-journal every replayed event.
+    replay would re-journal every replayed event.  Raises
+    :class:`~repro.core.errors.StoreError` when the WAL lacks records
+    between the snapshot and its oldest segment.
     """
     # local imports: this module is reached lazily via the package
     # facade precisely so repro.lms ←→ repro.store stays acyclic
@@ -152,13 +159,25 @@ def recover(
     else:
         checkpoint_lsn = 0
         lms = Lms(clock=clock)
+    segments = segment_files(wal_path)
+    if segments and segment_first_lsn(segments[0]) > checkpoint_lsn + 1:
+        covered_by = (
+            f"checkpoint {checkpoint_path.name} covers lsn {checkpoint_lsn}"
+            if checkpoint_path is not None
+            else "there is no checkpoint"
+        )
+        raise StoreError(
+            f"records {checkpoint_lsn + 1}.."
+            f"{segment_first_lsn(segments[0]) - 1} are missing: "
+            f"{covered_by} and the oldest WAL segment is {segments[0].name}"
+        )
     report = RecoveryReport(
         lms=lms,
         checkpoint_path=checkpoint_path,
         checkpoint_lsn=checkpoint_lsn,
         last_lsn=checkpoint_lsn,
     )
-    for record in _journal_records(wal_path, report):
+    for record in _journal_records(segments, report):
         if record.lsn <= checkpoint_lsn:
             report.records_skipped += 1
             continue
@@ -172,16 +191,13 @@ def recover(
     return report
 
 
-def _journal_records(wal_path: Path, report: RecoveryReport):
+def _journal_records(segments: List[Path], report: RecoveryReport):
     """Every decodable record, LSN order; accounts the torn tail.
 
     Matches :func:`repro.store.journal.read_records` semantics — damage
     in a non-final segment raises, damage in the final one ends the log
     — but keeps the dropped-byte count for the report.
     """
-    from repro.core.errors import JournalCorruptError
-
-    segments = segment_files(wal_path)
     for index, segment in enumerate(segments):
         scan = scan_segment(segment)
         if scan.error is not None and index < len(segments) - 1:

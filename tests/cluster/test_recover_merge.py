@@ -12,7 +12,7 @@ from repro.core.errors import BankError
 from repro.lms.learners import Learner
 from repro.lms.lms import Lms
 from repro.lms.persistence import (
-    _collect_payload,
+    collect_payload,
     lms_from_payload,
     merge_payloads,
 )
@@ -47,7 +47,7 @@ class TestMergePayloads:
             shard_lms(["dee", "eli"], exam),
         ]
         merged = lms_from_payload(
-            merge_payloads([_collect_payload(shard) for shard in shards])
+            merge_payloads([collect_payload(shard) for shard in shards])
         )
         assert len(merged.learners) == 5
         assert sorted(merged.enrolled(exam.exam_id)) == [
@@ -71,8 +71,8 @@ class TestMergePayloads:
     def test_exam_broadcast_duplicates_collapse(self):
         exam = classroom_exam(QUESTIONS)
         payloads = [
-            _collect_payload(shard_lms(["amy"], exam)),
-            _collect_payload(shard_lms(["bob"], exam)),
+            collect_payload(shard_lms(["amy"], exam)),
+            collect_payload(shard_lms(["bob"], exam)),
         ]
         merged = merge_payloads(payloads)
         assert len(merged["exams"]) == 1
@@ -89,8 +89,8 @@ class TestMergePayloads:
         merged = lms_from_payload(
             merge_payloads(
                 [
-                    _collect_payload(lms),
-                    _collect_payload(shard_lms(["bob"], exam)),
+                    collect_payload(lms),
+                    collect_payload(shard_lms(["bob"], exam)),
                 ]
             )
         )
@@ -99,7 +99,7 @@ class TestMergePayloads:
 
     def test_same_learner_on_two_shards_is_an_error(self):
         exam = classroom_exam(QUESTIONS)
-        payload = _collect_payload(shard_lms(["amy"], exam))
+        payload = collect_payload(shard_lms(["amy"], exam))
         with pytest.raises(BankError):
             merge_payloads([payload, payload])
 
@@ -113,8 +113,8 @@ class TestMergePayloads:
 
     def test_clock_continues_from_the_furthest_shard(self):
         exam = classroom_exam(QUESTIONS)
-        one = _collect_payload(shard_lms(["amy"], exam))
-        two = _collect_payload(shard_lms(["bob"], exam))
+        one = collect_payload(shard_lms(["amy"], exam))
+        two = collect_payload(shard_lms(["bob"], exam))
         one["clock"] = 100.0
         two["clock"] = 250.0
         merged = merge_payloads([one, two])
@@ -124,8 +124,8 @@ class TestMergePayloads:
         exam = classroom_exam(QUESTIONS)
         merged = merge_payloads(
             [
-                _collect_payload(shard_lms(["amy"], exam)),
-                _collect_payload(shard_lms(["bob"], exam)),
+                collect_payload(shard_lms(["amy"], exam)),
+                collect_payload(shard_lms(["bob"], exam)),
             ]
         )
         stamps = [event["timestamp"] for event in merged["tracking"]]

@@ -11,7 +11,7 @@ from repro.items.choice import MultipleChoiceItem
 from repro.items.essay import EssayItem
 from repro.lms.learners import Learner
 from repro.lms.lms import Lms
-from repro.lms.persistence import load_lms, save_lms
+from repro.lms.persistence import collect_payload, load_lms, save_lms
 from repro.lms.tracking import EventKind
 
 
@@ -337,7 +337,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(persistence.os, "replace", boom)
         with pytest.raises(OSError, match="disk on fire"):
-            persistence._write_atomic(tmp_path / "x.json", "{}")
+            persistence.save_lms(busy_lms(), tmp_path / "x.json")
         assert list(tmp_path.iterdir()) == []
 
     def test_save_into_current_directory_path(self, tmp_path, monkeypatch):
@@ -345,6 +345,43 @@ class TestAtomicWrite:
         monkeypatch.chdir(tmp_path)
         save_lms(busy_lms(), "lms.json")
         assert load_lms("lms.json").offered_exams() == ["ex1"]
+
+
+class TestCompactStream:
+    """The streamed file is compact ``json.dumps`` output, byte for byte."""
+
+    @pytest.mark.parametrize("build", [busy_lms, resumable_lms])
+    @pytest.mark.parametrize("wal_lsn", [None, 41])
+    def test_file_equals_compact_dumps(self, tmp_path, build, wal_lsn):
+        lms = build()
+        lms.monitor.capture("amy", "ex1", 31.0)
+        payload = collect_payload(lms)
+        path = tmp_path / "lms.json"
+        save_lms(payload, path, wal_lsn=wal_lsn)
+        if wal_lsn is not None:
+            payload["wal_lsn"] = wal_lsn
+        expected = json.dumps(payload, separators=(",", ":"))
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_saving_an_lms_writes_one_compact_line(self, tmp_path):
+        path = tmp_path / "lms.json"
+        save_lms(resumable_lms(), path)
+        text = path.read_text(encoding="utf-8")
+        assert "\n" not in text
+        assert json.dumps(json.loads(text), separators=(",", ":")) == text
+
+    def test_indented_files_still_load(self, tmp_path):
+        """Files older builds wrote with ``indent=2`` read as before."""
+        lms = resumable_lms()
+        path = tmp_path / "lms.json"
+        path.write_text(json.dumps(collect_payload(lms), indent=2))
+        restored = load_lms(path)
+        assert restored.sitting("bob", "ex1").session.state.value == (
+            "suspended"
+        )
+        assert [e.kind for e in restored.tracking] == [
+            e.kind for e in lms.tracking
+        ]
 
 
 class TestErrors:
