@@ -146,12 +146,13 @@ class ExamSession:
             )
         item = self.exam.item(item_id)  # raises NotFoundError for unknown ids
         item.score(response)  # validates the response shape; result discarded
+        # keep the exam's own id object, not the caller's equal copy
         event = AnswerEvent(
-            item_id=item_id,
+            item_id=item.item_id,
             response=response,
             elapsed_seconds=self.elapsed_seconds(at),
         )
-        self._answers[item_id] = event
+        self._answers[item.item_id] = event
         self._events.append(event)
         return event
 

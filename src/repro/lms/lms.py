@@ -267,7 +267,8 @@ class Lms:
             now = self.clock.now()
             learner = self.learners.get(learner_id)  # existence check
             exam = self.exam(exam_id)
-            self._enrollment[exam.exam_id].add(learner.learner_id)
+            learner_id, exam_id = learner.learner_id, exam.exam_id
+            self._enrollment[exam_id].add(learner_id)
             self.tracking.record(
                 EventKind.ENROLLED, learner_id, exam_id, now
             )
@@ -433,6 +434,10 @@ class Lms:
         now = self.clock.now()
         exam = self.exam(exam_id)
         learner = self.learners.get(learner_id)
+        # the sitting, the attempt record, tracking and the monitor all
+        # keep the registry's and the catalog's id objects, not the
+        # request's equal copies
+        learner_id, exam_id = learner.learner_id, exam.exam_id
         if learner_id not in self._enrollment[exam_id]:
             raise SessionStateError(
                 f"learner {learner_id!r} is not enrolled in {exam_id!r}"
@@ -504,6 +509,7 @@ class Lms:
     ) -> ScoredResponse:
         sitting = self.sitting(learner_id, exam_id)
         with sitting.lock:
+            learner_id, exam_id = sitting.learner_id, sitting.exam_id
             now = self.clock.now()
             adaptive = sitting.adaptive
             if adaptive is not None:
@@ -523,6 +529,7 @@ class Lms:
                     )
             sitting.session.answer(item_id, response, now)
             item = sitting.session.exam.item(item_id)
+            item_id = item.item_id
             scored = item.score(response)
             if adaptive is not None:
                 adaptive.record(item_id, bool(scored.correct))
@@ -599,6 +606,7 @@ class Lms:
                 f"time; answers:batch is not allowed"
             )
         with sitting.lock:
+            learner_id, exam_id = sitting.learner_id, sitting.exam_id
             now = self.clock.now()
             session = sitting.session
             # Phase 1 — validate every answer up front, mirroring the
@@ -632,13 +640,13 @@ class Lms:
                     session.answer(item_id, response, now)
                     item = session.exam.item(item_id)
                     one = item.score(response)
-                    self._cmi_record_answer(sitting, item_id, item, one)
+                    self._cmi_record_answer(sitting, item.item_id, item, one)
                     self.tracking.record(
                         EventKind.ANSWERED,
                         learner_id,
                         exam_id,
                         now,
-                        detail=item_id,
+                        detail=item.item_id,
                     )
                     self.monitor.poll(
                         learner_id, exam_id, session.elapsed_seconds(now)
@@ -695,6 +703,7 @@ class Lms:
     def _suspend(self, learner_id: str, exam_id: str) -> None:
         sitting = self.sitting(learner_id, exam_id)
         with sitting.lock:
+            learner_id, exam_id = sitting.learner_id, sitting.exam_id
             now = self.clock.now()
             sitting.session.suspend(now)
             self._cmi_suspend(sitting)
@@ -721,6 +730,7 @@ class Lms:
         with obs.span("lms.resume", exam_id=exam_id), self.lock.shared():
             sitting = self.sitting(learner_id, exam_id)
             with sitting.lock:
+                learner_id, exam_id = sitting.learner_id, sitting.exam_id
                 now = self.clock.now()
                 sitting.session.resume(now)
                 self.tracking.record(
@@ -742,6 +752,7 @@ class Lms:
     def _submit(self, learner_id: str, exam_id: str) -> GradedSitting:
         sitting = self.sitting(learner_id, exam_id)
         with sitting.lock:
+            learner_id, exam_id = sitting.learner_id, sitting.exam_id
             now = self.clock.now()
             sitting.session.submit(now)
             graded = grade_session(sitting.session)
@@ -803,6 +814,7 @@ class Lms:
                 self.lock.shared():
             sitting = self.sitting(learner_id, exam_id)
             with sitting.lock:
+                learner_id, exam_id = sitting.learner_id, sitting.exam_id
                 now = self.clock.now()
                 frame = self.monitor.capture(
                     learner_id, exam_id, sitting.session.elapsed_seconds(now)

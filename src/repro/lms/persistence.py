@@ -4,9 +4,10 @@ A real LMS survives restarts.  This module serializes the durable parts
 of an :class:`~repro.lms.lms.Lms` — offered exams, learners with their
 progress, enrollment, graded results, the tracking log, the exam
 monitor's proctoring record (captured frames, capture schedule, drop
-counts), and every sitting's full delivery-session state (including
+counts), every sitting's full delivery-session state (including
 **in-flight** sittings: their answer history, elapsed-time accounting,
-and SCORM interaction record) — to a JSON file and restores them.
+and SCORM interaction record), and how many SCORM attempts each learner
+launched on each exam — to a JSON file and restores them.
 Earlier revisions deliberately dropped in-flight sittings; with the
 :mod:`repro.store` write-ahead log those sittings are durable, so
 snapshots must carry them too or a checkpoint would truncate a learner
@@ -216,6 +217,14 @@ def collect_payload(lms: Lms) -> Dict[str, object]:
             }
             for sitting in lms._sittings.values()
         ]
+        attempts = [
+            {
+                "learner_id": record.learner_id,
+                "exam_id": record.sco_id,
+                "attempts": record.attempts,
+            }
+            for record in lms.rte.all_records()
+        ]
         calibrations = {}
         for exam_id, (version, overlay) in lms._calibrations.items():
             from repro.adaptive.online import parameters_to_record
@@ -240,6 +249,7 @@ def collect_payload(lms: Lms) -> Dict[str, object]:
             "tracking": events,
             "monitor": lms.monitor.export_state(),
             "sittings": sittings,
+            "attempts": attempts,
         }
 
 
@@ -341,6 +351,12 @@ def lms_from_payload(payload: Dict[str, object], clock=None) -> Lms:
         )
     for record in payload.get("sittings", []):
         _restore_sitting(lms, record)
+    # restoring a sitting launches it once; the SCORM launch counts
+    # (re-sits included) come from the payload, when it has them
+    for record in payload.get("attempts", []):
+        lms.rte.record(
+            str(record["learner_id"]), str(record["exam_id"])
+        ).attempts = int(record["attempts"])
     return lms
 
 
@@ -426,6 +442,7 @@ def merge_payloads(payloads: List[Dict[str, object]]) -> Dict[str, object]:
         "tracking": [],
         "monitor": None,
         "sittings": [],
+        "attempts": [],
     }
     seen_exams: set = set()
     seen_learners: set = set()
@@ -462,6 +479,7 @@ def merge_payloads(payloads: List[Dict[str, object]]) -> Dict[str, object]:
             results.setdefault(exam_id, []).extend(sittings)
         merged["tracking"].extend(payload.get("tracking", []))
         merged["sittings"].extend(payload.get("sittings", []))
+        merged["attempts"].extend(payload.get("attempts", []))
         state = payload.get("monitor")
         if isinstance(state, dict):
             if monitor is None:

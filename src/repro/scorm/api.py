@@ -37,7 +37,8 @@ class ApiAdapter:
 
     ``on_commit`` is called with the data-model snapshot on every
     successful ``LMSCommit`` and on ``LMSFinish`` — the LMS wires its
-    persistence in there.
+    persistence in there.  ``datamodel`` is None once the session has
+    finished: the committed snapshot is all that outlives it.
     """
 
     def __init__(
@@ -45,7 +46,9 @@ class ApiAdapter:
         datamodel: Optional[CmiDataModel] = None,
         on_commit: Optional[Callable[[Dict[str, object]], None]] = None,
     ) -> None:
-        self.datamodel = datamodel if datamodel is not None else CmiDataModel()
+        self.datamodel: Optional[CmiDataModel] = (
+            datamodel if datamodel is not None else CmiDataModel()
+        )
         self._on_commit = on_commit
         self._state = ApiState.NOT_INITIALIZED
         self._last_error = ScormError.NO_ERROR
@@ -71,13 +74,20 @@ class ApiAdapter:
         return self._ok()
 
     def LMSFinish(self, parameter: str = "") -> str:
-        """End the communication session ("course finish"); commits."""
+        """End the communication session ("course finish").
+
+        Commits, then releases the data model: SCORM 1.2 answers every
+        later call with error 301 (not initialized), so nothing can read
+        it again, and the committed snapshot in ``on_commit`` is the
+        learner record from here on.
+        """
         if parameter != "":
             return self._fail(ScormError.INVALID_ARGUMENT)
         if self._state is not ApiState.RUNNING:
             return self._fail(ScormError.NOT_INITIALIZED)
         self._commit()
         self._state = ApiState.FINISHED
+        self.datamodel = None
         return self._ok()
 
     # -- data transfer --------------------------------------------------------

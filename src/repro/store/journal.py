@@ -751,7 +751,7 @@ class Journal:
     def _fsync_locked(self) -> None:
         if self._stream is None:
             return
-        with self._span("store.fsync"):
+        with obs.span("store.fsync"):
             os.fsync(self._stream.fileno())
         self._last_fsync = time.monotonic()
         # everything appended before this flush is now on disk
@@ -764,8 +764,3 @@ class Journal:
             self._registry.count(name, value)
         else:
             obs.count(name, value)
-
-    def _span(self, name: str):
-        if self._registry is not None:
-            return self._registry.span(name)
-        return obs.span(name)

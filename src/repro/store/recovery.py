@@ -257,6 +257,11 @@ def state_fingerprint(lms) -> Dict[str, object]:
     compare ``state_fingerprint(recovered) == state_fingerprint(live)``
     — the acceptance bar of the durability subsystem.
 
+    A sitting's CMI digest comes from its live data model while the
+    SCORM session runs.  A submitted sitting's adapter has released its
+    model, so the digest comes from the attempt record's committed
+    snapshot, which ``LMSFinish`` took of that same final model.
+
     One documented exclusion: ``cmi.core.exit`` and
     ``cmi.suspend_data`` record *when* a sitting was last suspended,
     history a snapshot of a since-resumed session cannot carry (see
@@ -340,7 +345,11 @@ def state_fingerprint(lms) -> Dict[str, object]:
                     "session": sitting.session.export_state(),
                     "item_order": list(sitting.item_order),
                     "interaction_count": sitting.interaction_count,
-                    "cmi": _cmi_digest(sitting.api.datamodel.snapshot()),
+                    "cmi": _cmi_digest(
+                        sitting.api.datamodel.snapshot()
+                        if sitting.api.datamodel is not None
+                        else lms.rte.record(learner_id, exam_id).last_snapshot
+                    ),
                     "adaptive": _adaptive_digest(sitting.adaptive),
                 }
                 for (learner_id, exam_id), sitting in sorted(

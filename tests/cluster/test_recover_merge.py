@@ -46,10 +46,15 @@ class TestMergePayloads:
             shard_lms(["cho"], exam),
             shard_lms(["dee", "eli"], exam),
         ]
+        shards[0].start_exam("amy", exam.exam_id)  # a re-sit, in flight
         merged = lms_from_payload(
             merge_payloads([collect_payload(shard) for shard in shards])
         )
         assert len(merged.learners) == 5
+        assert {
+            record.learner_id: record.attempts
+            for record in merged.rte.all_records()
+        } == {"amy": 2, "bob": 1, "cho": 1, "dee": 1, "eli": 1}
         assert sorted(merged.enrolled(exam.exam_id)) == [
             "amy", "bob", "cho", "dee", "eli"
         ]

@@ -1,5 +1,9 @@
 """Tests for the LMS (repro.lms.lms) and learner registry."""
 
+import gc
+import tracemalloc
+import weakref
+
 import pytest
 
 from repro.core.errors import (
@@ -14,6 +18,7 @@ from repro.lms.learners import Learner, LearnerRegistry
 from repro.lms.lms import Lms
 from repro.lms.tracking import EventKind
 from repro.scorm.api import ApiState
+from repro.sim.workloads import classroom_exam
 
 
 def two_question_exam(exam_id="ex1"):
@@ -186,6 +191,68 @@ class TestSittingFlow:
             lms.sitting("alice", "ex1")
         lms.start_exam("alice", "ex1")
         assert lms.sitting("alice", "ex1").learner_id == "alice"
+
+
+def wire(text):
+    """An equal copy of ``text``, as a server decodes it from a request."""
+    return text.encode().decode()
+
+
+class TestRetainedMemory:
+    def test_submit_releases_the_cmi_data_model(self):
+        lms = fresh_lms()
+        sitting = lms.start_exam("alice", "ex1")
+        lms.answer("alice", "ex1", "q1", "A")
+        model = weakref.ref(sitting.api.datamodel)
+        lms.submit("alice", "ex1")
+        assert sitting.api.state is ApiState.FINISHED
+        assert sitting.api.datamodel is None
+        gc.collect()
+        assert model() is None
+        record = lms.rte.record("alice", "ex1")
+        first, second = record.last_snapshot, record.last_snapshot
+        assert first == second and first is not second
+        assert first["interactions"][0]["id"] == "q1"
+
+    def test_a_graded_sitting_retains_at_most_20_kib(self):
+        """200 classroom sittings, every id an equal per-request copy as
+        a server decodes it, retain at most 20 KiB each once graded: a
+        finished sitting keeps no CMI data model, and the LMS keeps its
+        own id objects rather than the copies."""
+        clock = ManualClock(1000.0)
+        lms = Lms(clock=clock)
+        exam = classroom_exam(20)
+        lms.offer_exam(exam)
+        learner_ids = [f"s{index:03d}" for index in range(201)]
+        for learner_id in learner_ids:
+            lms.register_learner(Learner(learner_id=learner_id, name=learner_id))
+            lms.enroll(learner_id, exam.exam_id)
+
+        def sit(learner_id, response):
+            lms.start_exam(wire(learner_id), wire(exam.exam_id))
+            for item in exam.items:
+                clock.advance(1.0)
+                lms.answer(
+                    wire(learner_id),
+                    wire(exam.exam_id),
+                    wire(item.item_id),
+                    response,
+                )
+            lms.submit(wire(learner_id), wire(exam.exam_id))
+
+        sit(learner_ids[-1], "A")  # lazy imports and caches fill here
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index, learner_id in enumerate(learner_ids[:200]):
+                sit(learner_id, "ABCDE"[index % 5])
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(lms.results_for(exam.exam_id)) == 201
+        assert retained / 200 <= 20 * 1024
 
 
 class TestMonitorIntegration:

@@ -17,6 +17,7 @@ from repro.bank.exambank import exam_to_record
 from repro.lms.learners import Learner
 from repro.lms.lms import Lms
 from repro.lms.persistence import load_lms
+from repro.lms.tracking import EventKind
 from repro.server.app import ExamServer
 from repro.sim.workloads import classroom_exam
 from repro.store import recover
@@ -109,10 +110,25 @@ class TestMeta:
         assert "server.in_flight" in payload["gauges"]
         assert payload["in_flight"] >= 1  # this very request
         assert "frames_captured" in payload["monitor"]
-        # per-route spans were recorded
+        # the server's own registry counts per route
         assert server.context.registry.counter(
             "server.requests", route="healthz"
         ) == 2
+
+    def test_the_registry_keeps_no_span_trees(self, server, client):
+        status, first, _ = client.get("/metrics")
+        assert status == 200
+        for index in range(499):
+            status, _, _ = client.get("/healthz" if index % 2 else "/exams")
+            assert status == 200
+        assert server.context.registry.roots == []
+        status, last, _ = client.get("/metrics")
+        assert status == 200
+        assert set(last) == set(first) == {
+            "uptime_seconds", "counters", "gauges", "monitor", "locks",
+            "in_flight",
+        }
+        assert last["counters"]["server.requests{route=healthz}"] == 249
 
     def test_keep_alive_reuses_one_connection(self, client):
         # many requests through the same Client / socket
@@ -222,6 +238,25 @@ class TestSittingLifecycle:
         status, results, _ = client.get(f"/exams/{EXAM_ID}/results")
         assert status == 200
         assert [r["learner_id"] for r in results["results"]] == ["amy"]
+
+    def test_answers_store_the_registry_and_exam_id_objects(
+        self, server, client
+    ):
+        client.post(f"/exams/{EXAM_ID}/sittings/amy/start")
+        answer_all(client, "amy")
+        lms = server.lms
+        learner_id = lms.learners.get("amy").learner_id
+        exam = lms.exam(EXAM_ID)
+        answered = lms.tracking.events(kind=EventKind.ANSWERED)
+        assert len(answered) == QUESTIONS
+        for event in answered:
+            assert event.learner_id is learner_id
+            assert event.course_id is exam.exam_id
+            assert event.detail is exam.item(event.detail).item_id
+        session = lms.sitting("amy", EXAM_ID).session
+        assert session.learner_id is learner_id
+        for event in session.answer_events():
+            assert event.item_id is exam.item(event.item_id).item_id
 
     def test_answer_echoes_scored_response(self, client):
         client.post(f"/exams/{EXAM_ID}/sittings/amy/start")

@@ -11,6 +11,7 @@ from conftest import enroll_cohort, journaled_lms
 from repro.delivery.clock import ManualClock
 from repro.lms.learners import Learner
 from repro.lms.lms import Lms
+from repro.lms.transcripts import build_transcript
 from repro.sim.learner_model import ItemParameters
 from repro.sim.workloads import classroom_adaptive_exam
 from repro.store import (
@@ -148,6 +149,27 @@ class TestCompaction:
             "q2",
         ]
         journal.close()
+
+
+class TestAttemptCounts:
+    def test_recovery_keeps_how_often_a_learner_launched_an_exam(
+        self, tmp_path
+    ):
+        journal = Journal.open(tmp_path, fsync="never")
+        lms, clock = journaled_lms(journal)
+        enroll_cohort(lms, ["amy", "bob"])
+        drive_sittings(lms, clock, ["amy", "bob", "amy"])
+        wal_only = recover(tmp_path).lms
+        Checkpointer(lms, journal).checkpoint()
+        journal.close()
+        report = recover(tmp_path)
+        assert report.checkpoint_path is not None
+        for restored in (lms, wal_only, report.lms):
+            amy, bob = (
+                build_transcript(restored, learner_id).rows[0].attempts
+                for learner_id in ("amy", "bob")
+            )
+            assert (amy, bob) == (2, 1)
 
 
 class TestCalibrationSwap:

@@ -107,6 +107,16 @@ def per_learner_tracking(fingerprint):
     return dict(fingerprint, tracking=split)
 
 
+def rte_records(lms):
+    """Every SCORM attempt record: launches, suspend flag, last commit."""
+    return {
+        (record.learner_id, record.sco_id): (
+            record.attempts, record.suspended, record.last_snapshot
+        )
+        for record in lms.rte.all_records()
+    }
+
+
 def identity(path):
     stat = os.stat(path)
     return stat.st_dev, stat.st_ino
@@ -332,7 +342,9 @@ class TestConcurrentCheckpoints:
         for path in checkpoint_files(tmp_path):
             load_payload(path)
         journal.close()
-        recovered = state_fingerprint(recover(tmp_path).lms)
+        recovered_lms = recover(tmp_path).lms
+        recovered = state_fingerprint(recovered_lms)
         assert per_learner_tracking(recovered) == per_learner_tracking(
             state_fingerprint(lms)
         )
+        assert rte_records(recovered_lms) == rte_records(lms)
