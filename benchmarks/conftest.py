@@ -37,7 +37,7 @@ def classroom():
 @pytest.fixture(scope="session")
 def classroom_analysis(classroom):
     _, _, data = classroom
-    # routed through the engine switch: columnar by default
+    # routed through analyze_cohort, the production analysis
     return data.analyze(split=GroupSplit())
 
 

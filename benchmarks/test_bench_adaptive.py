@@ -22,6 +22,7 @@ import os
 import random
 import time
 
+import repro.sim.adaptive_cohort as adaptive_cohort
 from repro.adaptive.cat import select_next_item
 from repro.adaptive.online import ItemInformationTable
 from repro.server.app import ExamServer
@@ -183,18 +184,19 @@ def test_bench_next_item_route():
     )
 
 
-def test_bench_adaptive_cohort_engines():
+def test_bench_adaptive_cohort_engines(monkeypatch):
     exam = classroom_adaptive_exam(COHORT_QUESTIONS, max_items=10)
     learners = make_population(COHORT_LEARNERS, seed=17)
 
+    # the scalar driver is the one that runs where numpy is missing
+    monkeypatch.setattr(adaptive_cohort, "HAVE_NUMPY", False)
     start = time.perf_counter()
-    scalar = simulate_adaptive_cohort(exam, learners, seed=3, engine="scalar")
+    scalar = simulate_adaptive_cohort(exam, learners, seed=3)
     scalar_seconds = time.perf_counter() - start
+    monkeypatch.undo()
 
     start = time.perf_counter()
-    vector = simulate_adaptive_cohort(
-        exam, learners, seed=3, engine="vectorized"
-    )
+    vector = simulate_adaptive_cohort(exam, learners, seed=3)
     vector_seconds = time.perf_counter() - start
 
     # parity is part of the contract, not just speed

@@ -9,9 +9,9 @@ planned "adaptive test algorithm" exists to obtain.
 
 import random
 
-from repro.adaptive.cat import CatConfig, CatSession
 from repro.adaptive.estimation import estimate_ability_eap
 from repro.adaptive.irt import ItemParameters, probability_correct
+from repro.adaptive.online import AdaptiveSession, ItemInformationTable
 from repro.sim.population import ability_grid
 
 from conftest import show
@@ -39,7 +39,14 @@ def oracle(theta, pool, seed):
     return answer
 
 
+def cat_session(table):
+    return AdaptiveSession(
+        table, max_items=TEST_LENGTH, min_items=TEST_LENGTH, se_target=0.01
+    )
+
+
 def run_comparison(pool, thetas):
+    table = ItemInformationTable.build(pool)
     fixed_ids = sorted(pool)[:TEST_LENGTH]
     fixed_params = [pool[item_id] for item_id in fixed_ids]
     rows = []
@@ -51,15 +58,7 @@ def run_comparison(pool, thetas):
             responses = [answer(item_id) for item_id in fixed_ids]
             _, fixed_se = estimate_ability_eap(responses, fixed_params)
             fixed_ses.append(fixed_se)
-            session = CatSession(
-                pool=dict(pool),
-                config=CatConfig(
-                    max_items=TEST_LENGTH,
-                    min_items=TEST_LENGTH,
-                    se_target=0.01,
-                ),
-            )
-            _, cat_se = session.run(oracle(theta, pool, seed))
+            _, cat_se = cat_session(table).run(oracle(theta, pool, seed))
             cat_ses.append(cat_se)
         rows.append(
             (
@@ -93,13 +92,10 @@ def test_bench_adaptive_testing(benchmark):
     assert rows[0][2] < rows[0][1]  # theta = -2.5
     assert rows[-1][2] < rows[-1][1]  # theta = +2.5
 
+    table = ItemInformationTable.build(pool)
+
     def one_cat_session():
-        session = CatSession(
-            pool=dict(pool),
-            config=CatConfig(max_items=TEST_LENGTH, min_items=TEST_LENGTH,
-                             se_target=0.01),
-        )
-        return session.run(oracle(1.0, pool, seed=99))
+        return cat_session(table).run(oracle(1.0, pool, seed=99))
 
     ability, se = benchmark(one_cat_session)
     assert se < 1.0

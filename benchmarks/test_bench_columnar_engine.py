@@ -12,11 +12,12 @@ import os
 import random
 import time
 
-from repro.core.columnar import LiveCohortAnalysis, fast_analyze_cohort
+from repro.core.columnar import LiveCohortAnalysis
 from repro.core.question_analysis import (
     ExamineeResponses,
     QuestionSpec,
     analyze_cohort,
+    reference_analyze_cohort,
 )
 
 from conftest import show
@@ -73,8 +74,8 @@ def test_bench_columnar_vs_reference(benchmark):
     # equality spot-check at the smallest size (the differential suite
     # covers this exhaustively; here it guards the bench inputs)
     responses, specs = datasets[SIZES[0]]
-    assert fast_analyze_cohort(responses, specs) == analyze_cohort(
-        responses, specs, engine="reference"
+    assert analyze_cohort(responses, specs) == reference_analyze_cohort(
+        responses, specs
     )
 
     lines = ["examinees   reference     columnar     speedup"]
@@ -84,13 +85,13 @@ def test_bench_columnar_vs_reference(benchmark):
         # best-of-several with an untimed warm-up pass each: the assertion
         # below must not flake on a transiently loaded machine
         runs = 5 if size <= 10_000 else 1
-        analyze_cohort(responses, specs, engine="reference")
+        reference_analyze_cohort(responses, specs)
         ref = best_of(
             runs,
-            lambda: analyze_cohort(responses, specs, engine="reference"),
+            lambda: reference_analyze_cohort(responses, specs),
         )
-        fast_analyze_cohort(responses, specs)
-        col = best_of(runs, lambda: fast_analyze_cohort(responses, specs))
+        analyze_cohort(responses, specs)
+        col = best_of(runs, lambda: analyze_cohort(responses, specs))
         speedups[size] = ref / col
         lines.append(
             f"{size:>9}   {ref * 1000:>8.1f} ms   {col * 1000:>8.1f} ms   "
@@ -101,7 +102,7 @@ def test_bench_columnar_vs_reference(benchmark):
     assert speedups[10_000] >= SPEEDUP_FLOOR
 
     responses, specs = datasets[10_000]
-    result = benchmark(lambda: fast_analyze_cohort(responses, specs))
+    result = benchmark(lambda: analyze_cohort(responses, specs))
     assert len(result.questions) == QUESTIONS
 
 
@@ -144,9 +145,9 @@ def test_bench_columnar_incremental(benchmark):
         warm_update(response)
     warm = (time.perf_counter() - start) / len(tail)
 
-    full_fast = best_of(3, lambda: fast_analyze_cohort(responses, specs))
+    full_fast = best_of(3, lambda: analyze_cohort(responses, specs))
     full_ref = best_of(
-        1, lambda: analyze_cohort(responses, specs, engine="reference")
+        1, lambda: reference_analyze_cohort(responses, specs)
     )
 
     show(

@@ -13,8 +13,8 @@ selection needs fewer items for the same measurement error.
 import random
 
 from repro.adaptive import (
-    CatConfig,
-    CatSession,
+    AdaptiveSession,
+    ItemInformationTable,
     ItemParameters,
     estimate_ability_eap,
     probability_correct,
@@ -42,14 +42,14 @@ def simulated_answers(true_ability: float, pool: dict, seed: int):
 
 def main() -> None:
     pool = calibrated_pool()
+    # built once per pool: selection and the ability update are then
+    # table lookups, exactly as when the server delivers the exam
+    table = ItemInformationTable.build(pool)
     print(f"calibrated pool: {len(pool)} items\n")
 
     print("adaptive sessions (max 15 items, stop at SE <= 0.35):")
     for true_theta in (-2.0, 0.0, 2.0):
-        session = CatSession(
-            pool=dict(pool),
-            config=CatConfig(max_items=15, se_target=0.35),
-        )
+        session = AdaptiveSession(table, max_items=15, se_target=0.35)
         estimate, se = session.run(simulated_answers(true_theta, pool, seed=1))
         print(
             f"  true ability {true_theta:+.1f}: estimated {estimate:+.2f} "
@@ -68,10 +68,7 @@ def main() -> None:
     fixed_estimate, fixed_se = estimate_ability_eap(
         fixed_responses, fixed_params
     )
-    cat = CatSession(
-        pool=dict(pool),
-        config=CatConfig(max_items=10, min_items=10, se_target=0.01),
-    )
+    cat = AdaptiveSession(table, max_items=10, min_items=10, se_target=0.01)
     cat_estimate, cat_se = cat.run(simulated_answers(true_theta, pool, seed=2))
     print(f"  fixed form: estimate {fixed_estimate:+.2f}, SE {fixed_se:.3f}")
     print(f"  adaptive:   estimate {cat_estimate:+.2f}, SE {cat_se:.3f}")

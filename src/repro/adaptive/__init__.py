@@ -7,7 +7,7 @@ from repro.adaptive.calibration import (
     difficulty_to_b,
     discrimination_to_a,
 )
-from repro.adaptive.cat import CatConfig, CatSession, select_next_item
+from repro.adaptive.cat import select_next_item
 from repro.adaptive.estimation import (
     estimate_ability_eap,
     estimate_ability_map,
@@ -59,8 +59,6 @@ __all__ = [
     "test_information",
     "estimate_ability_map",
     "estimate_ability_eap",
-    "CatSession",
-    "CatConfig",
     "select_next_item",
     "ConceptMastery",
     "LearnerFeedback",

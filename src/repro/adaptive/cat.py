@@ -1,23 +1,19 @@
 """Computerized adaptive testing (the paper's stated future work).
 
-:class:`CatSession` administers items one at a time from a calibrated
-pool: after each response the ability estimate is updated (EAP) and the
-next item is the unused one with **maximum Fisher information** at the
-current estimate.  The session stops when the standard error drops below
-a target or the item budget is exhausted — the two standard CAT stopping
-rules.
+:func:`select_next_item` is maximum-information item selection by exact
+IRT evaluation: the unused pool item with the most Fisher information
+at an ability estimate.  Online sittings select from a precomputed
+table instead (:class:`~repro.adaptive.online.AdaptiveSession`); this
+function is the exact reference the table is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from repro.core.errors import EstimationError
-from repro.adaptive.estimation import estimate_ability_eap
 from repro.adaptive.irt import ItemParameters, item_information
 
-__all__ = ["CatConfig", "CatSession", "select_next_item"]
+__all__ = ["select_next_item"]
 
 
 def select_next_item(
@@ -36,105 +32,3 @@ def select_next_item(
             best_information = information
             best_id = item_id
     return best_id
-
-
-@dataclass(frozen=True)
-class CatConfig:
-    """Stopping rules and priors for a CAT session."""
-
-    max_items: int = 20
-    min_items: int = 3
-    se_target: float = 0.35
-    prior_sd: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_items < 1:
-            raise EstimationError("max_items must be positive")
-        if not 1 <= self.min_items <= self.max_items:
-            raise EstimationError(
-                f"min_items must be in [1, max_items], got {self.min_items}"
-            )
-        if self.se_target <= 0:
-            raise EstimationError("se_target must be positive")
-
-
-@dataclass
-class CatSession:
-    """One adaptive sitting over a calibrated item pool."""
-
-    pool: Dict[str, ItemParameters]
-    config: CatConfig = field(default_factory=CatConfig)
-    administered: List[str] = field(default_factory=list)
-    responses: List[bool] = field(default_factory=list)
-    ability: float = 0.0
-    standard_error: float = float("inf")
-
-    def __post_init__(self) -> None:
-        if not self.pool:
-            raise EstimationError("CAT pool is empty")
-        if len(self.administered) != len(self.responses):
-            raise EstimationError(
-                f"{len(self.administered)} administered items but "
-                f"{len(self.responses)} responses"
-            )
-        foreign = sorted(set(self.administered) - set(self.pool))
-        if foreign:
-            # e.g. a session restored against a recalibrated pool that
-            # dropped items: without this check, record() would KeyError
-            # mid-sitting instead of failing at construction
-            raise EstimationError(
-                f"administered items not in the pool: {foreign}"
-            )
-
-    def next_item(self) -> Optional[str]:
-        """The item to administer next, or None when the session is done."""
-        if self.is_done():
-            return None
-        return select_next_item(self.ability, self.pool, set(self.administered))
-
-    def record(self, item_id: str, correct: bool) -> None:
-        """Record a response and update the ability estimate."""
-        if item_id not in self.pool:
-            raise EstimationError(f"item {item_id!r} not in the pool")
-        if item_id in self.administered:
-            raise EstimationError(f"item {item_id!r} already administered")
-        self.administered.append(item_id)
-        self.responses.append(correct)
-        parameters = [self.pool[administered] for administered in self.administered]
-        self.ability, self.standard_error = estimate_ability_eap(
-            self.responses, parameters, prior_sd=self.config.prior_sd
-        )
-
-    def is_done(self) -> bool:
-        """True when a stopping rule is met or the pool is exhausted."""
-        return self.stop_reason() is not None
-
-    def stop_reason(self) -> Optional[str]:
-        """Why the session stopped, or None while it should continue.
-
-        Every sitting terminates with exactly one defined reason —
-        ``"max_items"`` (item budget spent; the deterministic backstop
-        for an SE that never converges), ``"pool_exhausted"`` (no unused
-        items left to administer), or ``"se_target"`` (precision
-        reached after the minimum item count).
-        """
-        count = len(self.administered)
-        if count >= self.config.max_items:
-            return "max_items"
-        if not set(self.pool) - set(self.administered):
-            return "pool_exhausted"
-        if count >= self.config.min_items and (
-            self.standard_error <= self.config.se_target
-        ):
-            return "se_target"
-        return None
-
-    def run(self, answer) -> Tuple[float, float]:
-        """Drive the whole session with an ``answer(item_id) -> bool``
-        oracle (e.g. a simulated learner); returns (ability, SE)."""
-        while not self.is_done():
-            item_id = self.next_item()
-            if item_id is None:  # pragma: no cover - stop_reason covers it
-                break
-            self.record(item_id, bool(answer(item_id)))
-        return self.ability, self.standard_error

@@ -1,8 +1,9 @@
 """Online adaptive testing: CAT wired into the delivery tier.
 
-The offline :mod:`repro.adaptive` machinery (IRT, CAT loops, EAP
-estimation, 2PL calibration) gains an online consumer here — three
-pieces, each designed around the delivery tier's constraints:
+The offline :mod:`repro.adaptive` machinery (IRT, exact item
+selection, EAP estimation, 2PL calibration) gains an online consumer
+here — three pieces, each designed around the delivery tier's
+constraints:
 
 * :class:`AdaptivePolicy` — the *authored* adaptive configuration that
   rides on an :class:`~repro.exams.exam.Exam` (stopping rules, prior,
@@ -25,11 +26,13 @@ pieces, each designed around the delivery tier's constraints:
   the table argmax equals the exact :func:`~repro.adaptive.irt.
   item_information` argmax at every grid point (a hypothesis property).
 
-* :class:`AdaptiveSession` — the per-sitting state machine: a pure
-  deterministic function of (table, recorded response sequence).  The
-  LMS replays the same answer events on recovery and rebuilds the same
-  item sequence and theta trajectory bit-identically — the WAL needs no
-  new per-answer payload, because selection is deterministic.
+* :class:`AdaptiveSession` — the per-sitting state machine, and the
+  only one: the LMS serves it, and the simulators and examples drive it
+  with :meth:`~AdaptiveSession.run`.  It is a pure deterministic
+  function of (table, recorded response sequence).  The LMS replays the
+  same answer events on recovery and rebuilds the same item sequence
+  and theta trajectory bit-identically — the WAL needs no new
+  per-answer payload, because selection is deterministic.
 
 The calibration loop closes the circle: :func:`collect_calibration_
 matrix` harvests completed sittings from a recovered WAL (missing =
@@ -47,7 +50,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import EstimationError
 from repro.adaptive.calibration import difficulty_to_b, discrimination_to_a
@@ -56,6 +59,7 @@ from repro.adaptive.irt import (
     item_information,
     probability_correct,
 )
+from repro.store.durable import write_durably
 
 __all__ = [
     "AdaptivePolicy",
@@ -79,7 +83,7 @@ _SNAPSHOT_RE = re.compile(r"^params-(?P<exam>.+)-v(?P<version>\d+)\.json$")
 class AdaptivePolicy:
     """The authored adaptive configuration of an exam.
 
-    Stopping rules mirror :class:`~repro.adaptive.cat.CatConfig`; the
+    Stopping rules are the ones :class:`AdaptiveSession` enforces; the
     grid settings shape the precomputed information table.  ``parameters``
     optionally pins explicit IRT parameters per item id — analyzable
     items without an entry are seeded from their stored classical
@@ -442,6 +446,15 @@ class AdaptiveSession:
             return "se_target"
         return None
 
+    def run(self, answer: Callable[[str], bool]) -> Tuple[float, float]:
+        """Drive the sitting to a stop with an ``answer(item_id) -> bool``
+        oracle (e.g. a simulated learner); returns (theta, SE)."""
+        item_id = self.next_item()
+        while item_id is not None:
+            self.record(item_id, bool(answer(item_id)))
+            item_id = self.next_item()
+        return self.theta, self.standard_error
+
     def status(self) -> Dict[str, object]:
         """A wire-shaped view (the ``next-item`` route payload)."""
         item_id = self.next_item()
@@ -512,8 +525,11 @@ def write_calibration_snapshot(
     pool: Dict[str, ItemParameters],
     diagnostics: Optional[Dict[str, object]] = None,
 ) -> Path:
-    """Persist one versioned parameter snapshot (atomic enough: small
-    JSON, distinct filename per version)."""
+    """Persist one versioned parameter snapshot, atomically and durably.
+
+    A writer killed mid-write leaves no ``params-*.json`` behind, so a
+    torn snapshot can never stop a server booting over the directory.
+    """
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     target = path / f"params-{exam_id}-v{version}.json"
@@ -524,9 +540,7 @@ def write_calibration_snapshot(
         "parameters": parameters_to_record(pool),
         "diagnostics": diagnostics or {},
     }
-    target.write_text(
-        json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    write_durably(target, [json.dumps(payload, indent=2, sort_keys=True)])
     return target
 
 

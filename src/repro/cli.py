@@ -61,13 +61,9 @@ def _profile_parent() -> argparse.ArgumentParser:
     return parent
 
 
-def _engine_parent() -> argparse.ArgumentParser:
-    """Options shared by every analysis-running subcommand."""
+def _generator_parent() -> argparse.ArgumentParser:
+    """Options shared by every cohort-simulating subcommand."""
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--engine", choices=("columnar", "reference"), default="columnar",
-        help="analysis engine (columnar = fast path, reference = baseline)",
-    )
     parent.add_argument(
         "--sim-engine", dest="sim_engine",
         choices=("scalar", "vectorized", "auto"), default="scalar",
@@ -90,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     profile = _profile_parent()
-    engines = _engine_parent()
+    generators = _generator_parent()
 
     subparsers.add_parser(
         "tree", parents=[profile],
@@ -102,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     simulate = subparsers.add_parser(
-        "simulate", parents=[profile, engines],
+        "simulate", parents=[profile, generators],
         help="simulate a class sitting and print the analysis",
     )
     simulate.add_argument("--students", type=int, default=44)
@@ -137,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the answer key instead of the paper")
 
     export = subparsers.add_parser(
-        "export", parents=[profile, engines],
+        "export", parents=[profile, generators],
         help="simulate a class and export the analysis",
     )
     export.add_argument("--students", type=int, default=44)
@@ -379,17 +375,16 @@ def _build_simulated_report(args):
     exam = classroom_exam(args.questions)
     parameters = classroom_parameters(args.questions)
     learners = make_population(args.students, seed=args.seed)
-    data = simulate_sitting_data(
-        exam,
-        parameters,
-        learners,
-        seed=args.seed + 1,
-        sim_engine=getattr(args, "sim_engine", "scalar"),
-    )
-    cohort = data.analyze(
-        split=GroupSplit(fraction=args.split),
-        engine=getattr(args, "engine", "columnar"),
-    )
+    simulate = simulate_sitting_data
+    if args.sim_engine != "scalar":
+        # the generators draw different cohorts from one seed, so the
+        # flag picks the output, not just the speed
+        from repro.sim.vectorized import HAVE_NUMPY, simulate_sitting_arrays
+
+        if args.sim_engine == "vectorized" or HAVE_NUMPY:
+            simulate = simulate_sitting_arrays
+    data = simulate(exam, parameters, learners, seed=args.seed + 1)
+    cohort = data.analyze(split=GroupSplit(fraction=args.split))
     correct_flags = {
         response.examinee_id: [
             selection == spec.correct

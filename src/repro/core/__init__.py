@@ -11,11 +11,7 @@ Import the commonly used names directly from this package::
 
 from repro.core.advice import Advice, advise
 from repro.core.cognition import COGNITIVE_LEVELS, CognitionLevel, Domain
-from repro.core.columnar import (
-    LiveCohortAnalysis,
-    ResponseMatrix,
-    fast_analyze_cohort,
-)
+from repro.core.columnar import LiveCohortAnalysis, ResponseMatrix
 from repro.core.errors import (
     AnalysisError,
     AssessmentError,
@@ -155,7 +151,6 @@ __all__ = [
     "number_representation_rows",
     "render_number_representation",
     # columnar engine
-    "fast_analyze_cohort",
     "ResponseMatrix",
     "LiveCohortAnalysis",
     # exam analysis

@@ -21,8 +21,9 @@ This module keeps the *exact same semantics* in a columnar layout:
   the reference engine uses, so the floats are bit-identical by
   construction.
 
-:func:`fast_analyze_cohort` is the drop-in replacement proven equal to the
-reference by ``tests/core/test_columnar_differential.py``;
+:func:`~repro.core.question_analysis.analyze_cohort` runs every cohort
+through :class:`ResponseMatrix`, proven equal to the reference pipeline
+by ``tests/core/test_columnar_differential.py``;
 :class:`LiveCohortAnalysis` is the incremental API (``add_sitting`` /
 ``invalidate``) that keeps an analysis warm across submissions instead of
 recomputing from raw responses every time.
@@ -59,7 +60,6 @@ __all__ = [
     "ColumnarCapacityError",
     "ResponseMatrix",
     "LiveCohortAnalysis",
-    "fast_analyze_cohort",
     "merge_partials",
 ]
 
@@ -77,9 +77,9 @@ _id_of = _attrgetter("examinee_id")
 class ColumnarCapacityError(AnalysisError):
     """A cohort exceeds the byte-code capacity of the columnar layout.
 
-    ``fast_analyze_cohort`` catches this and falls back to the reference
-    engine, so callers never see it unless they use :class:`ResponseMatrix`
-    directly.
+    :func:`~repro.core.question_analysis.analyze_cohort` catches this
+    and falls back to the reference pipeline, so callers never see it
+    unless they use :class:`ResponseMatrix` directly.
     """
 
 
@@ -780,42 +780,3 @@ def merge_partials(
     merged.extend(responses)
     return merged
 
-
-def fast_analyze_cohort(
-    responses: Sequence[ExamineeResponses],
-    questions: Sequence[QuestionSpec],
-    split: GroupSplit = GroupSplit(),
-    policy: SignalPolicy = DEFAULT_POLICY,
-    spread_threshold: float = DEFAULT_SPREAD_THRESHOLD,
-) -> CohortAnalysis:
-    """Columnar drop-in for :func:`repro.core.question_analysis.analyze_cohort`.
-
-    Produces a :class:`CohortAnalysis` exactly equal — grouping, option
-    matrices, PH/PL/D/P, rule outcomes, signals, advice — to the reference
-    engine's on the same input (the differential suite asserts this on
-    randomized cohorts).  Cohorts that overflow the byte-code layout
-    (>254 distinct labels on one question) fall back to the reference
-    implementation transparently.
-    """
-    if not responses:
-        raise EmptyCohortError("no examinee responses to analyse")
-    if not questions:
-        raise AnalysisError("no questions to analyse")
-    try:
-        matrix = ResponseMatrix(questions)
-        matrix.extend(responses)
-    except ColumnarCapacityError:
-        from repro.core.question_analysis import analyze_cohort
-
-        obs.count("analyze.columnar.fallbacks")
-        return analyze_cohort(
-            responses,
-            questions,
-            split=split,
-            policy=policy,
-            spread_threshold=spread_threshold,
-            engine="reference",
-        )
-    return matrix.analyze(
-        split=split, policy=policy, spread_threshold=spread_threshold
-    )

@@ -46,6 +46,7 @@ __all__ = [
     "QuestionAnalysis",
     "CohortAnalysis",
     "analyze_cohort",
+    "reference_analyze_cohort",
     "analyze_matrix",
     "number_representation_rows",
     "render_number_representation",
@@ -188,7 +189,6 @@ def analyze_cohort(
     split: GroupSplit = GroupSplit(),
     policy: SignalPolicy = DEFAULT_POLICY,
     spread_threshold: float = DEFAULT_SPREAD_THRESHOLD,
-    engine: str = "columnar",
 ) -> CohortAnalysis:
     """Run the full §4.1 pipeline over a cohort's raw responses.
 
@@ -197,106 +197,114 @@ def analyze_cohort(
     builds each question's option matrix from group selections, and
     analyses every question.
 
-    ``engine`` selects the implementation: ``"columnar"`` (default) is
-    the single-pass engine of :mod:`repro.core.columnar`; ``"reference"``
-    is the original per-object pipeline kept as the paper-faithful
-    baseline.  Both produce field-for-field equal results (the
-    differential suite in ``tests/core`` enforces this).
+    The work is one sweep over the cohort's interned option codes
+    (:class:`~repro.core.columnar.ResponseMatrix`).  A question whose
+    labels overflow the one-byte code falls back to
+    :func:`reference_analyze_cohort`, counted as
+    ``analyze.columnar.fallbacks``; the two give field-for-field equal
+    results (the differential suite in ``tests/core`` enforces this).
     """
-    if engine == "columnar":
-        from repro.core.columnar import fast_analyze_cohort
+    from repro.core.columnar import ColumnarCapacityError, ResponseMatrix
 
-        return fast_analyze_cohort(
+    if not responses:
+        raise EmptyCohortError("no examinee responses to analyse")
+    if not questions:
+        raise AnalysisError("no questions to analyse")
+    try:
+        matrix = ResponseMatrix(questions)
+        matrix.extend(responses)
+    except ColumnarCapacityError:
+        obs.count("analyze.columnar.fallbacks")
+        return reference_analyze_cohort(
             responses,
             questions,
             split=split,
             policy=policy,
             spread_threshold=spread_threshold,
         )
-    if engine != "reference":
-        raise AnalysisError(
-            f"unknown analysis engine {engine!r}; "
-            f"expected 'columnar' or 'reference'"
-        )
+    return matrix.analyze(
+        split=split, policy=policy, spread_threshold=spread_threshold
+    )
+
+
+def reference_analyze_cohort(
+    responses: Sequence[ExamineeResponses],
+    questions: Sequence[QuestionSpec],
+    split: GroupSplit = GroupSplit(),
+    policy: SignalPolicy = DEFAULT_POLICY,
+    spread_threshold: float = DEFAULT_SPREAD_THRESHOLD,
+) -> CohortAnalysis:
+    """The paper-faithful per-object pipeline behind :func:`analyze_cohort`.
+
+    Walks the response objects examinee by examinee and question by
+    question.  :func:`analyze_cohort` uses it for cohorts the columnar
+    layout cannot hold, and the differential, golden and property
+    suites use it as their oracle.
+    """
     with obs.span(
         "analyze.reference",
         examinees=len(responses),
         questions=len(questions),
     ):
-        return _reference_analyze_cohort(
-            responses,
-            questions,
-            split=split,
-            policy=policy,
-            spread_threshold=spread_threshold,
-        )
+        if not responses:
+            raise EmptyCohortError("no examinee responses to analyse")
+        if not questions:
+            raise AnalysisError("no questions to analyse")
+        width = len(questions)
+        for response in responses:
+            if len(response.selections) != width:
+                raise AnalysisError(
+                    f"examinee {response.examinee_id!r} answered "
+                    f"{len(response.selections)} questions; "
+                    f"exam has {width}"
+                )
+        seen_ids = set()
+        for response in responses:
+            if response.examinee_id in seen_ids:
+                raise AnalysisError(
+                    f"duplicate examinee id {response.examinee_id!r} "
+                    f"in cohort"
+                )
+            seen_ids.add(response.examinee_id)
 
-
-def _reference_analyze_cohort(
-    responses: Sequence[ExamineeResponses],
-    questions: Sequence[QuestionSpec],
-    split: GroupSplit,
-    policy: SignalPolicy,
-    spread_threshold: float,
-) -> CohortAnalysis:
-    """The paper-faithful per-object pipeline (the ``reference`` engine)."""
-    if not responses:
-        raise EmptyCohortError("no examinee responses to analyse")
-    if not questions:
-        raise AnalysisError("no questions to analyse")
-    width = len(questions)
-    for response in responses:
-        if len(response.selections) != width:
-            raise AnalysisError(
-                f"examinee {response.examinee_id!r} answered "
-                f"{len(response.selections)} questions; exam has {width}"
+        scores: Dict[str, int] = {}
+        for response in responses:
+            scores[response.examinee_id] = sum(
+                1
+                for selection, spec in zip(response.selections, questions)
+                if selection == spec.correct
             )
-    seen_ids = set()
-    for response in responses:
-        if response.examinee_id in seen_ids:
-            raise AnalysisError(
-                f"duplicate examinee id {response.examinee_id!r} in cohort"
+
+        high, low = split.split(
+            list(responses), lambda examinee: scores[examinee.examinee_id]
+        )
+        high_ids = [examinee.examinee_id for examinee in high]
+        low_ids = [examinee.examinee_id for examinee in low]
+
+        analyses: List[QuestionAnalysis] = []
+        for index, spec in enumerate(questions):
+            matrix = OptionMatrix(
+                options=spec.options,
+                high=_option_counts(high, index, spec.options),
+                low=_option_counts(low, index, spec.options),
+                correct=spec.correct,
             )
-        seen_ids.add(response.examinee_id)
-
-    scores: Dict[str, int] = {}
-    for response in responses:
-        scores[response.examinee_id] = sum(
-            1
-            for selection, spec in zip(response.selections, questions)
-            if selection == spec.correct
-        )
-
-    high, low = split.split(
-        list(responses), lambda examinee: scores[examinee.examinee_id]
-    )
-    high_ids = [examinee.examinee_id for examinee in high]
-    low_ids = [examinee.examinee_id for examinee in low]
-
-    analyses: List[QuestionAnalysis] = []
-    for index, spec in enumerate(questions):
-        matrix = OptionMatrix(
-            options=spec.options,
-            high=_option_counts(high, index, spec.options),
-            low=_option_counts(low, index, spec.options),
-            correct=spec.correct,
-        )
-        analyses.append(
-            analyze_matrix(
-                matrix,
-                high_size=len(high),
-                low_size=len(low),
-                number=index + 1,
-                policy=policy,
-                spread_threshold=spread_threshold,
+            analyses.append(
+                analyze_matrix(
+                    matrix,
+                    high_size=len(high),
+                    low_size=len(low),
+                    number=index + 1,
+                    policy=policy,
+                    spread_threshold=spread_threshold,
+                )
             )
+        return CohortAnalysis(
+            questions=analyses,
+            high_group=high_ids,
+            low_group=low_ids,
+            scores=scores,
         )
-    return CohortAnalysis(
-        questions=analyses,
-        high_group=high_ids,
-        low_group=low_ids,
-        scores=scores,
-    )
 
 
 def _option_counts(

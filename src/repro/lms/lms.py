@@ -881,7 +881,6 @@ class Lms:
     def analyze_exam(
         self,
         exam_id: str,
-        engine: str = "columnar",
         split: GroupSplit = GroupSplit(),
         policy: SignalPolicy = DEFAULT_POLICY,
         spread_threshold: float = DEFAULT_SPREAD_THRESHOLD,
@@ -893,7 +892,7 @@ class Lms:
         to be silently unreachable from the LMS, so an operator could not
         analyze with a non-default extreme-group fraction).
         """
-        with obs.span("lms.analyze_exam", exam_id=exam_id, engine=engine), \
+        with obs.span("lms.analyze_exam", exam_id=exam_id), \
                 self.lock.shared():
             exam = self.exam(exam_id)
             responses = self._cohort_responses(exam)
@@ -903,7 +902,6 @@ class Lms:
                 split=split,
                 policy=policy,
                 spread_threshold=spread_threshold,
-                engine=engine,
             )
 
     def live_analysis(self, exam_id: str) -> CohortAnalysis:
@@ -957,23 +955,20 @@ class Lms:
         self,
         exam_id: str,
         concepts: Optional[List[str]] = None,
-        engine: str = "columnar",
         split: GroupSplit = GroupSplit(),
     ) -> AssessmentReport:
         """The full §4 report: number/signal analysis, figures, spec table.
 
-        ``engine`` and ``split`` are forwarded to the cohort analysis
-        (previously hardwired to the defaults).
+        ``split`` is forwarded to the cohort analysis.
         """
         with obs.span("lms.report_for", exam_id=exam_id), \
                 self.lock.shared():
-            return self._report_for(exam_id, concepts, engine, split)
+            return self._report_for(exam_id, concepts, split)
 
     def _report_for(
         self,
         exam_id: str,
         concepts: Optional[List[str]],
-        engine: str,
         split: GroupSplit,
     ) -> AssessmentReport:
         exam = self.exam(exam_id)
@@ -983,7 +978,7 @@ class Lms:
         sittings = self._latest_sittings(exam_id)
         responses = sittings_to_responses(exam, sittings)
         specs = exam.question_specs()
-        cohort = analyze_cohort(responses, specs, split=split, engine=engine)
+        cohort = analyze_cohort(responses, specs, split=split)
         correct_flags = {
             response.examinee_id: [
                 selection == spec.correct

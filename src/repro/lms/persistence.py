@@ -33,8 +33,6 @@ intact — and once :func:`save_lms` returns the file survives power loss.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
@@ -48,6 +46,7 @@ from repro.lms.learners import Learner
 from repro.lms.lms import Lms, LmsSitting
 from repro.lms.monitor import ExamMonitor
 from repro.lms.tracking import EventKind
+from repro.store.durable import write_durably
 
 __all__ = [
     "save_lms",
@@ -121,14 +120,12 @@ def save_lms(
 
     ``lms`` is an :class:`Lms`, whose state :func:`collect_payload`
     copies under :attr:`Lms.lock`, or a payload already collected that
-    way.  The write itself holds no LMS lock: the payload streams to a
-    temp file in the destination directory about one record per
-    ``write()``, the file is fsynced, :func:`os.replace`-d over
-    ``path``, and the directory fsynced.  A failed write removes the
-    temp file and leaves the previous file intact.  The bytes equal
-    ``json.dumps(payload, separators=(",", ":"))``, which
-    :func:`load_payload` reads like the indented files older builds
-    wrote.
+    way.  The write itself holds no LMS lock: the payload streams
+    through :func:`~repro.store.durable.write_durably` about one record
+    per ``write()``, so a failed write leaves the previous file intact.
+    The bytes equal ``json.dumps(payload, separators=(",", ":"))``,
+    which :func:`load_payload` reads like the indented files older
+    builds wrote.
 
     ``wal_lsn`` stamps the snapshot with the highest journal LSN it
     covers.  The checkpoint engine (:mod:`repro.store.checkpoint`)
@@ -138,28 +135,7 @@ def save_lms(
     payload = lms if isinstance(lms, dict) else collect_payload(lms)
     if wal_lsn is not None:
         payload = dict(payload, wal_lsn=int(wal_lsn))
-    path = Path(path)
-    handle, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent), prefix=f".{path.name}.", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            for chunk in _json_chunks(payload):
-                stream.write(chunk)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    directory = os.open(str(path.parent), os.O_RDONLY)
-    try:
-        os.fsync(directory)
-    finally:
-        os.close(directory)
+    write_durably(path, _json_chunks(payload))
 
 
 def collect_payload(lms: Lms) -> Dict[str, object]:

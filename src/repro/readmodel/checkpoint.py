@@ -25,13 +25,13 @@ apply whenever encountered below the LSN bound.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.core.errors import StoreError
 from repro.readmodel.model import ReadModel
+from repro.store.durable import write_durably
 from repro.store.events import event_timestamp
 from repro.store.journal import read_records, segment_files, segment_first_lsn
 
@@ -91,23 +91,21 @@ def latest_readmodel_checkpoint(
 def save_readmodel(
     model: ReadModel, directory: "str | Path", *, keep: int = 2
 ) -> Path:
-    """Write the model's snapshot atomically; prune old checkpoints.
+    """Write the model's snapshot atomically and durably; prune old
+    checkpoints.
 
     ``keep`` newest files are retained (mirroring the LMS checkpointer's
-    retention) so one corrupt file never strands the follower.
+    retention) so one corrupt file never strands the follower: on
+    restart, :class:`~repro.readmodel.service.ReadModelService` resumes
+    from the newest checkpoint that loads, trying older ones in turn,
+    and folds from the journal head only when none does.
     """
     if keep < 1:
         raise StoreError(f"must keep at least 1 checkpoint, got {keep}")
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
     path = base / _readmodel_name(model.applied_lsn)
-    payload = json.dumps(model.snapshot(), separators=(",", ":"))
-    tmp = path.with_suffix(".tmp")
-    with tmp.open("w", encoding="utf-8") as stream:
-        stream.write(payload)
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path)
+    write_durably(path, [json.dumps(model.snapshot(), separators=(",", ":"))])
     for old in readmodel_files(base)[:-keep]:
         old.unlink()
     obs.count("readmodel.checkpoints")

@@ -9,7 +9,8 @@ last poll — which gives read-your-writes consistency in the serving
 process while keeping every query O(aggregate), not O(history).
 
 Restart resumes from the newest ``readmodel-*.json`` checkpoint in the
-WAL directory and replays only the suffix.  If compaction ever retires
+WAL directory that loads (older retained ones are tried in turn) and
+replays only the suffix.  If compaction ever retires
 records past the follower's position (it cannot in-process — the server
 syncs the read model *before* the LMS checkpointer compacts — but an
 external follower can race an external compactor), the tailer raises
@@ -26,8 +27,8 @@ from typing import Dict, Optional
 from repro import obs
 from repro.core.errors import StoreError
 from repro.readmodel.checkpoint import (
-    latest_readmodel_checkpoint,
     load_readmodel,
+    readmodel_files,
     save_readmodel,
 )
 from repro.readmodel.model import ReadModel
@@ -66,18 +67,17 @@ class ReadModelService:
         self.checkpoints_taken = 0
 
     def _resume(self) -> ReadModel:
-        path = latest_readmodel_checkpoint(self.directory)
-        if path is None:
-            return ReadModel()
-        try:
-            model = load_readmodel(path)
-        except (StoreError, ValueError, OSError):
-            # a torn/corrupt checkpoint must not strand the follower;
-            # fold from the journal head instead
-            obs.count("readmodel.checkpoint.unreadable")
-            return ReadModel()
-        obs.count("readmodel.resumes")
-        return model
+        # newest first: a torn/corrupt checkpoint must not strand the
+        # follower while an older retained one still loads
+        for path in reversed(readmodel_files(self.directory)):
+            try:
+                model = load_readmodel(path)
+            except (StoreError, ValueError, OSError):
+                obs.count("readmodel.checkpoint.unreadable")
+                continue
+            obs.count("readmodel.resumes")
+            return model
+        return ReadModel()
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -389,6 +389,8 @@ class ExamServer:
         self._extra_httpds: list = []
         self._extra_threads: list = []
         self._thread: Optional[threading.Thread] = None
+        #: True once the main accept loop was started (either way)
+        self._serving = False
         self._checkpoint_stop = threading.Event()
         self._checkpoint_thread: Optional[threading.Thread] = None
         self._shut_down = False
@@ -445,6 +447,7 @@ class ExamServer:
         """Serve in a background thread; returns self for chaining."""
         if self._thread is not None:
             raise RuntimeError("server already started")
+        self._serving = True
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
             kwargs={"poll_interval": 0.05},
@@ -465,6 +468,7 @@ class ExamServer:
         if self.readmodel is not None:
             self.readmodel.start()
         try:
+            self._serving = True
             self._httpd.serve_forever(poll_interval=0.05)
         finally:
             self._stop_checkpointing()
@@ -482,8 +486,12 @@ class ExamServer:
         if self._shut_down:
             return True
         self._shut_down = True
-        self._httpd.shutdown()  # stops the accept loop, new conns refused
-        for httpd in self._extra_httpds:
+        # stop the accept loops, refusing new connections; only loops
+        # that were started, since socketserver's shutdown() waits for
+        # its loop to answer and an unstarted one never would
+        if self._serving:
+            self._httpd.shutdown()
+        for httpd, _ in zip(self._extra_httpds, self._extra_threads):
             httpd.shutdown()
         drained = self.in_flight.wait_idle(drain_timeout)
         self._stop_checkpointing()

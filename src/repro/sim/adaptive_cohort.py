@@ -14,10 +14,10 @@ the *whole cohort* one step at a time instead:
 * the EAP update (exp-normalize, mean, SD) is two matrix reductions.
 
 Response draws are **pre-sampled per (learner, item)** from the same
-per-learner seeded streams regardless of engine, so the scalar loop and
-the array engine administer from identical randomness; under a fixed
-seed either engine is fully deterministic.  A pure-stdlib fallback
-(the scalar loop) keeps the entry point working on no-numpy installs.
+per-learner seeded streams regardless of driver, so the scalar loop and
+the array driver administer from identical randomness; under a fixed
+seed either is fully deterministic.  The array driver runs when numpy
+imports; the scalar loop keeps the entry point working without it.
 
 The result duck-types :class:`~repro.sim.workloads.SimulatedSittingData`
 (``responses`` / ``answer_times`` / ``specs`` / ``analyze()``) with the
@@ -95,8 +95,7 @@ class AdaptiveCohortData:
         """Total answers across the cohort (the CAT saving metric)."""
         return sum(len(sequence) for sequence in self.item_sequences)
 
-    def analyze(self, split: Optional[GroupSplit] = None,
-                engine: str = "columnar", **kwargs):
+    def analyze(self, split: Optional[GroupSplit] = None, **kwargs):
         """Run the §4.1 analysis over the administered subset."""
         from repro.core.question_analysis import analyze_cohort
 
@@ -104,7 +103,6 @@ class AdaptiveCohortData:
             self.responses,
             self.specs,
             split=split if split is not None else GroupSplit(),
-            engine=engine,
             **kwargs,
         )
 
@@ -116,7 +114,7 @@ def _predraw(
 
     Seeding is per-learner (the loadgen convention), and consumption
     order is fixed by the table's sorted item ids — NOT by the
-    administration order — so both engines, and any re-run, draw
+    administration order — so both drivers, and any re-run, draw
     identical randomness no matter which items the policy picks.
     """
     rng = random.Random(f"{seed}:adaptive:{learner.learner_id}")
@@ -157,18 +155,16 @@ def simulate_adaptive_cohort(
     seed: int = 0,
     base_seconds: float = 45.0,
     sigma: float = 0.35,
-    engine: str = "auto",
 ) -> AdaptiveCohortData:
     """Every learner sits ``exam`` under its adaptive policy.
 
     ``exam.adaptive`` must be set (see :func:`~repro.sim.workloads.
     classroom_adaptive_exam`); the same :class:`~repro.adaptive.online.
     ItemInformationTable` the delivery tier would install drives
-    selection here.  ``engine``: ``"scalar"`` loops
-    :class:`~repro.adaptive.online.AdaptiveSession` per learner;
-    ``"vectorized"`` runs the cohort step-synchronously as arrays
-    (falling back to scalar without numpy); ``"auto"`` picks for you.
-    Either engine consumes the same pre-sampled randomness.
+    selection here.  With numpy the cohort runs step-synchronously as
+    arrays; without it, one :class:`~repro.adaptive.online.
+    AdaptiveSession` per learner.  Both drivers consume the same
+    pre-sampled randomness and give identical sequences.
     """
     from repro.adaptive.online import ItemInformationTable
 
@@ -178,21 +174,12 @@ def simulate_adaptive_cohort(
             f"exam {exam.exam_id!r} has no adaptive policy; "
             f"set exam.adaptive or use classroom_adaptive_exam()"
         )
-    if engine not in ("auto", "scalar", "vectorized"):
-        raise AnalysisError(
-            f"unknown adaptive sim engine {engine!r}; "
-            f"expected 'scalar', 'vectorized', or 'auto'"
-        )
     if sigma < 0:
         raise AnalysisError(f"sigma must be non-negative, got {sigma}")
     if base_seconds <= 0:
         raise AnalysisError(
             f"base_seconds must be positive, got {base_seconds}"
         )
-    if engine == "auto":
-        engine = "vectorized" if HAVE_NUMPY else "scalar"
-    if engine == "vectorized" and not HAVE_NUMPY:
-        engine = "scalar"  # the stdlib fallback: same draws, loop speed
 
     pool = policy.pool_for(exam)
     table = ItemInformationTable.build(
@@ -212,18 +199,14 @@ def simulate_adaptive_cohort(
 
     with obs.span(
         "sim.adaptive",
-        engine=engine,
+        backend="numpy" if HAVE_NUMPY else "stdlib",
         learners=len(learners),
         pool=width,
     ):
-        if engine == "vectorized":
-            sequences, flags, trajectories, thetas, errors = (
-                _drive_numpy(table, policy, pool, learners, draws)
-            )
-        else:
-            sequences, flags, trajectories, thetas, errors = (
-                _drive_scalar(table, policy, pool, learners, draws)
-            )
+        drive = _drive_numpy if HAVE_NUMPY else _drive_scalar
+        sequences, flags, trajectories, thetas, errors = drive(
+            table, policy, pool, learners, draws
+        )
     obs.count("sim.adaptive.learners", len(learners))
 
     # decode sequences into analysis-ready objects: selections for
@@ -288,7 +271,7 @@ def simulate_adaptive_cohort(
 
 
 def _drive_scalar(table, policy, pool, learners, draws):
-    """The stdlib engine: one :class:`AdaptiveSession` per learner."""
+    """The stdlib driver: one :class:`AdaptiveSession` per learner."""
     from repro.adaptive.online import AdaptiveSession
 
     column = table._index
@@ -300,12 +283,10 @@ def _drive_scalar(table, policy, pool, learners, draws):
     for index, learner in enumerate(learners):
         u_correct = draws[index][0]
         session = AdaptiveSession.for_exam(table, policy)
-        while True:
-            item_id = session.next_item()
-            if item_id is None:
-                break
-            p = probability_correct(learner.ability, pool[item_id])
-            session.record(item_id, u_correct[column[item_id]] < p)
+        session.run(
+            lambda item_id: u_correct[column[item_id]]
+            < probability_correct(learner.ability, pool[item_id])
+        )
         sequences.append(list(session.administered))
         flags.append(list(session.responses))
         trajectories.append(list(session.trajectory))
@@ -315,7 +296,7 @@ def _drive_scalar(table, policy, pool, learners, draws):
 
 
 def _drive_numpy(table, policy, pool, learners, draws):
-    """The array engine: the whole cohort advances one step per pass."""
+    """The numpy driver: the whole cohort advances one step per pass."""
     np = _np
     count = len(learners)
     width = len(table.item_ids)

@@ -172,7 +172,7 @@ class VectorizedSittingData:
     :meth:`ResponseMatrix.from_arrays` — no per-learner objects exist
     anywhere on that path.  The ``responses`` / ``answer_times``
     properties materialize the legacy object shapes lazily for consumers
-    that still want them (the CLI report builder, the reference engine).
+    that still want them (the CLI report builder, the reference pipeline).
     """
 
     def __init__(
@@ -246,7 +246,6 @@ class VectorizedSittingData:
     def analyze(
         self,
         split: Optional[GroupSplit] = None,
-        engine: str = "columnar",
         policy=None,
         spread_threshold: Optional[float] = None,
     ):
@@ -260,27 +259,14 @@ class VectorizedSittingData:
         from repro.core.rules import DEFAULT_SPREAD_THRESHOLD
         from repro.core.signals import DEFAULT_POLICY
 
-        policy = policy if policy is not None else DEFAULT_POLICY
-        spread_threshold = (
-            spread_threshold
-            if spread_threshold is not None
-            else DEFAULT_SPREAD_THRESHOLD
-        )
-        if engine == "columnar":
-            return self.to_matrix().analyze(
-                split=split if split is not None else GroupSplit(),
-                policy=policy,
-                spread_threshold=spread_threshold,
-            )
-        from repro.core.question_analysis import analyze_cohort
-
-        return analyze_cohort(
-            self.responses,
-            self.specs,
+        return self.to_matrix().analyze(
             split=split if split is not None else GroupSplit(),
-            policy=policy,
-            spread_threshold=spread_threshold,
-            engine=engine,
+            policy=policy if policy is not None else DEFAULT_POLICY,
+            spread_threshold=(
+                spread_threshold
+                if spread_threshold is not None
+                else DEFAULT_SPREAD_THRESHOLD
+            ),
         )
 
 

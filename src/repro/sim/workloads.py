@@ -23,7 +23,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.cognition import CognitionLevel
-from repro.core.errors import AnalysisError
 from repro.core.grouping import GroupSplit
 from repro.core.question_analysis import ExamineeResponses, QuestionSpec
 from repro.core.rules import DEFAULT_SPREAD_THRESHOLD
@@ -65,17 +64,15 @@ class SimulatedSittingData:
     def analyze(
         self,
         split: Optional[GroupSplit] = None,
-        engine: str = "columnar",
         policy: SignalPolicy = DEFAULT_POLICY,
         spread_threshold: float = DEFAULT_SPREAD_THRESHOLD,
     ):
         """Run the §4.1 analysis over the simulated sitting.
 
-        Routed through :func:`repro.core.question_analysis.analyze_cohort`
-        so simulation workloads exercise the same engine switch as the
-        production layers (columnar by default).  ``policy`` and
-        ``spread_threshold`` are forwarded (the kwargs-threading audit
-        found them silently unreachable from simulated workloads).
+        Routed through :func:`repro.core.question_analysis.analyze_cohort`,
+        the production analysis.  ``policy`` and ``spread_threshold`` are
+        forwarded (the kwargs-threading audit found them silently
+        unreachable from simulated workloads).
         """
         from repro.core.question_analysis import analyze_cohort
 
@@ -85,7 +82,6 @@ class SimulatedSittingData:
             split=split if split is not None else GroupSplit(),
             policy=policy,
             spread_threshold=spread_threshold,
-            engine=engine,
         )
 
 
@@ -97,46 +93,20 @@ def simulate_sitting_data(
     base_seconds: float = 45.0,
     omit_rate: float = 0.0,
     sigma: float = 0.35,
-    sim_engine: str = "scalar",
-):
+) -> SimulatedSittingData:
     """Simulate every learner answering every analyzable item.
 
     ``parameters`` maps item ids to their IRT parameters; items without
     an entry get defaults.  Selections, times, and omissions are all
-    drawn from one seeded RNG, so runs are reproducible.  ``sigma`` is
-    the lognormal spread of the per-item time model, threaded to both
-    engines (it used to be reachable only by calling the vectorized
-    engine directly).
+    drawn from one seeded RNG in a per-learner loop, so runs are
+    reproducible and byte-stable across releases.  ``sigma`` is the
+    lognormal spread of the per-item time model.
 
-    ``sim_engine`` selects the generator: ``"scalar"`` (default) is this
-    per-learner loop, byte-stable across releases; ``"vectorized"`` is
-    the batch engine of :mod:`repro.sim.vectorized`, which returns the
-    array-native ``VectorizedSittingData`` (duck-compatible with
-    :class:`SimulatedSittingData`, ~10-100x faster at cohort scale, and
-    distributionally — not bit- — equivalent, see docs/simulation.md);
-    ``"auto"`` picks vectorized when numpy is available.
+    :func:`repro.sim.vectorized.simulate_sitting_arrays` is the batch
+    generator over the same inputs: array-native output, ~10-100x
+    faster at cohort scale, and a different cohort from the same seed
+    (distributionally — not bit- — equivalent, see docs/simulation.md).
     """
-    if sim_engine == "auto":
-        from repro.sim.vectorized import HAVE_NUMPY
-
-        sim_engine = "vectorized" if HAVE_NUMPY else "scalar"
-    if sim_engine == "vectorized":
-        from repro.sim.vectorized import simulate_sitting_arrays
-
-        return simulate_sitting_arrays(
-            exam,
-            parameters,
-            learners,
-            seed=seed,
-            base_seconds=base_seconds,
-            omit_rate=omit_rate,
-            sigma=sigma,
-        )
-    if sim_engine != "scalar":
-        raise AnalysisError(
-            f"unknown sim engine {sim_engine!r}; "
-            f"expected 'scalar', 'vectorized', or 'auto'"
-        )
     with obs.span(
         "sim.generate",
         engine="scalar",
@@ -292,15 +262,14 @@ def pre_post_cohorts(
     base_seconds: float = 45.0,
     omit_rate: float = 0.0,
     sigma: float = 0.35,
-    sim_engine: str = "scalar",
 ) -> Tuple[SimulatedSittingData, SimulatedSittingData]:
     """Simulate the same class before and after teaching (§3.4 ISI).
 
     The post-teaching cohort is the same population with every ability
     shifted up by ``teaching_gain`` logits.  ``base_seconds``,
-    ``omit_rate``, ``sigma``, and ``sim_engine`` are threaded through to
-    *both* sittings (they used to be silently dropped, so ISI studies
-    could not model omission or pacing at all).
+    ``omit_rate`` and ``sigma`` are threaded through to *both* sittings
+    (they used to be silently dropped, so ISI studies could not model
+    omission or pacing at all).
     """
     before = make_population(size, mean_ability=-0.6, seed=seed)
     after = [
@@ -319,7 +288,6 @@ def pre_post_cohorts(
         base_seconds=base_seconds,
         omit_rate=omit_rate,
         sigma=sigma,
-        sim_engine=sim_engine,
     )
     post = simulate_sitting_data(
         exam,
@@ -329,6 +297,5 @@ def pre_post_cohorts(
         base_seconds=base_seconds,
         omit_rate=omit_rate,
         sigma=sigma,
-        sim_engine=sim_engine,
     )
     return pre, post

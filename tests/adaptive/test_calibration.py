@@ -117,8 +117,8 @@ class TestCalibratePool:
         """Integration: a bank with paper-style indices seeds a CAT."""
         import random
 
-        from repro.adaptive.cat import CatConfig, CatSession
         from repro.adaptive.irt import probability_correct
+        from repro.adaptive.online import AdaptiveSession, ItemInformationTable
 
         bank = ItemBank()
         rng = random.Random(8)
@@ -131,7 +131,9 @@ class TestCalibratePool:
                 )
             )
         pool = calibrate_pool_from_bank(bank)
-        session = CatSession(pool=pool, config=CatConfig(max_items=12))
+        session = AdaptiveSession(
+            ItemInformationTable.build(pool), max_items=12
+        )
         answer_rng = random.Random(9)
 
         def answer(item_id):

@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.cognition import CognitionLevel
 from repro.core.errors import AnalysisError, EstimationError
-from repro.adaptive.cat import CatConfig, CatSession, select_next_item
+from repro.adaptive.cat import select_next_item
 from repro.adaptive.feedback import build_feedback
 from repro.adaptive.irt import ItemParameters, probability_correct
+from repro.adaptive.online import AdaptiveSession, ItemInformationTable
 from repro.delivery.clock import ManualClock
 from repro.delivery.scoring import grade_session
 from repro.delivery.session import ExamSession
@@ -55,9 +56,15 @@ class TestSelectNextItem:
         assert select_next_item(0.0, pool, {"only"}) is None
 
 
+def session_over(pool, **rules):
+    return AdaptiveSession(ItemInformationTable.build(pool), **rules)
+
+
 class TestCatConfig:
+    """The CAT stopping rules, checked when a session is built."""
+
     def test_defaults_valid(self):
-        CatConfig()
+        session_over(calibrated_pool(size=5))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -70,17 +77,19 @@ class TestCatConfig:
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(EstimationError):
-            CatConfig(**kwargs)
+            session_over(calibrated_pool(size=5), **kwargs)
 
 
 class TestCatSession:
+    """One CAT sitting over a calibrated pool (an AdaptiveSession)."""
+
     def test_empty_pool_rejected(self):
         with pytest.raises(EstimationError):
-            CatSession(pool={})
+            session_over({})
 
     def test_session_runs_and_stops(self):
         pool = calibrated_pool()
-        session = CatSession(pool=pool, config=CatConfig(max_items=15))
+        session = session_over(pool, max_items=15)
         ability, se = session.run(oracle(1.0, pool, seed=1))
         assert session.is_done()
         assert len(session.administered) <= 15
@@ -92,9 +101,7 @@ class TestCatSession:
         for true_theta in (-1.5, 0.0, 1.5):
             estimates = []
             for seed in range(5):
-                session = CatSession(
-                    pool=pool, config=CatConfig(max_items=25, se_target=0.3)
-                )
+                session = session_over(pool, max_items=25, se_target=0.3)
                 estimate, _ = session.run(oracle(true_theta, pool, seed=seed))
                 estimates.append(estimate)
             mean = sum(estimates) / len(estimates)
@@ -103,7 +110,7 @@ class TestCatSession:
 
     def test_se_shrinks_as_items_administered(self):
         pool = calibrated_pool()
-        session = CatSession(pool=pool, config=CatConfig(max_items=20, se_target=0.01))
+        session = session_over(pool, max_items=20, se_target=0.01)
         answer = oracle(0.0, pool, seed=2)
         ses = []
         while not session.is_done():
@@ -114,34 +121,34 @@ class TestCatSession:
 
     def test_stops_at_se_target(self):
         pool = calibrated_pool(size=100)
-        config = CatConfig(max_items=100, min_items=3, se_target=0.45)
-        session = CatSession(pool=pool, config=config)
+        session = session_over(
+            pool, max_items=100, min_items=3, se_target=0.45
+        )
         session.run(oracle(0.0, pool, seed=3))
         assert session.standard_error <= 0.45 or len(session.administered) == 100
 
     def test_min_items_respected(self):
         pool = calibrated_pool(size=30)
-        config = CatConfig(max_items=30, min_items=5, se_target=10.0)
-        session = CatSession(pool=pool, config=config)
+        session = session_over(pool, max_items=30, min_items=5, se_target=10.0)
         session.run(oracle(0.0, pool, seed=4))
         assert len(session.administered) >= 5
 
     def test_double_administration_rejected(self):
         pool = calibrated_pool(size=5)
-        session = CatSession(pool=pool)
+        session = session_over(pool)
         item_id = session.next_item()
         session.record(item_id, True)
         with pytest.raises(EstimationError):
             session.record(item_id, False)
 
     def test_unknown_item_rejected(self):
-        session = CatSession(pool=calibrated_pool(size=5))
+        session = session_over(calibrated_pool(size=5))
         with pytest.raises(EstimationError):
             session.record("ghost", True)
 
     def test_next_item_none_when_done(self):
         pool = {"a": ItemParameters(), "b": ItemParameters()}
-        session = CatSession(pool=pool, config=CatConfig(max_items=1, min_items=1))
+        session = session_over(pool, max_items=1, min_items=1)
         session.record("a", True)
         assert session.is_done()
         assert session.next_item() is None

@@ -129,7 +129,7 @@ class TestCalibrationMechanics:
 class TestEndToEnd:
     def test_calibrated_pool_drives_cat_accurately(self):
         """simulate -> calibrate from data -> CAT recovers ability."""
-        from repro.adaptive.cat import CatConfig, CatSession
+        from repro.adaptive.online import AdaptiveSession, ItemInformationTable
 
         matrix = simulate_matrix(TRUE_PARAMETERS, examinees=600, seed=7)
         result = calibrate_2pl(matrix)
@@ -141,8 +141,11 @@ class TestEndToEnd:
             true = TRUE_PARAMETERS[int(item_id[1:])]
             return rng.random() < probability_correct(true_theta, true)
 
-        session = CatSession(
-            pool=pool, config=CatConfig(max_items=8, min_items=8, se_target=0.01)
+        session = AdaptiveSession(
+            ItemInformationTable.build(pool),
+            max_items=8,
+            min_items=8,
+            se_target=0.01,
         )
         estimate, se = session.run(answer)
         assert abs(estimate - true_theta) < 3 * se + 0.5

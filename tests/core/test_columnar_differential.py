@@ -3,24 +3,21 @@ the reference §4.1 pipeline — field for field, including rule outcomes
 and signal colors — on randomized cohorts.
 
 This is the correctness story for ``repro.core.columnar``: any drift
-between ``fast_analyze_cohort`` and the reference ``analyze_cohort``
-fails here before it can reach the delivery, simulation, or LMS layers.
+between ``analyze_cohort`` and ``reference_analyze_cohort`` fails here
+before it can reach the delivery, simulation, or LMS layers.
 """
 
 import pytest
 from columnar_cases import make_random_cohort
 
-from repro.core.columnar import (
-    LiveCohortAnalysis,
-    ResponseMatrix,
-    fast_analyze_cohort,
-)
+from repro.core.columnar import LiveCohortAnalysis, ResponseMatrix
 from repro.core.errors import AnalysisError, EmptyCohortError
 from repro.core.grouping import GroupSplit
 from repro.core.question_analysis import (
     ExamineeResponses,
     QuestionSpec,
     analyze_cohort,
+    reference_analyze_cohort,
 )
 
 #: ≥ 20 seeded cohort shapes: sizes, option counts, skip rates, tie-heavy
@@ -58,8 +55,8 @@ COHORT_CASES = [
 
 def both_engines(responses, specs, fraction=0.25):
     split = GroupSplit(fraction=fraction)
-    fast = fast_analyze_cohort(responses, specs, split=split)
-    reference = analyze_cohort(responses, specs, split=split, engine="reference")
+    fast = analyze_cohort(responses, specs, split=split)
+    reference = reference_analyze_cohort(responses, specs, split=split)
     return fast, reference
 
 
@@ -108,26 +105,11 @@ def test_engines_bit_identical(
 @pytest.mark.parametrize("seed", [30, 31])
 def test_engines_agree_across_spread_thresholds(seed, spread_threshold):
     responses, specs = make_random_cohort(seed, 48, 6, 4, 0.1, True)
-    fast = fast_analyze_cohort(
+    fast = analyze_cohort(responses, specs, spread_threshold=spread_threshold)
+    reference = reference_analyze_cohort(
         responses, specs, spread_threshold=spread_threshold
     )
-    reference = analyze_cohort(
-        responses, specs, spread_threshold=spread_threshold, engine="reference"
-    )
     assert fast == reference
-
-
-def test_dispatch_default_is_columnar():
-    responses, specs = make_random_cohort(40, 32, 4, 4, 0.1, False)
-    assert analyze_cohort(responses, specs) == fast_analyze_cohort(
-        responses, specs
-    )
-
-
-def test_unknown_engine_rejected():
-    responses, specs = make_random_cohort(41, 8, 1, 2, 0.0, False)
-    with pytest.raises(AnalysisError, match="unknown analysis engine"):
-        analyze_cohort(responses, specs, engine="turbo")
 
 
 class TestErrorParity:
@@ -135,42 +117,42 @@ class TestErrorParity:
 
     def test_empty_cohort(self):
         specs = [QuestionSpec(options=("A", "B"), correct="A")]
-        for engine in ("columnar", "reference"):
+        for analyze in (analyze_cohort, reference_analyze_cohort):
             with pytest.raises(EmptyCohortError):
-                analyze_cohort([], specs, engine=engine)
+                analyze([], specs)
 
     def test_no_questions(self):
         responses = [ExamineeResponses.of("s1", [])]
-        for engine in ("columnar", "reference"):
+        for analyze in (analyze_cohort, reference_analyze_cohort):
             with pytest.raises(AnalysisError):
-                analyze_cohort(responses, [], engine=engine)
+                analyze(responses, [])
 
     def test_ragged_selections(self):
         specs = [QuestionSpec(options=("A", "B"), correct="A")] * 3
         responses = [
             ExamineeResponses.of(f"s{i}", ["A", "B", "A"]) for i in range(7)
         ] + [ExamineeResponses.of("short", ["A"])]
-        for engine in ("columnar", "reference"):
+        for analyze in (analyze_cohort, reference_analyze_cohort):
             with pytest.raises(AnalysisError, match="answered 1 questions"):
-                analyze_cohort(responses, specs, engine=engine)
+                analyze(responses, specs)
 
     def test_duplicate_examinee_ids(self):
         specs = [QuestionSpec(options=("A", "B"), correct="A")]
         responses = [
             ExamineeResponses.of(f"s{i}", ["A"]) for i in range(7)
         ] + [ExamineeResponses.of("s0", ["B"])]
-        for engine in ("columnar", "reference"):
+        for analyze in (analyze_cohort, reference_analyze_cohort):
             with pytest.raises(AnalysisError, match="duplicate examinee id"):
-                analyze_cohort(responses, specs, engine=engine)
+                analyze(responses, specs)
 
     def test_unknown_option_in_extreme_group(self):
         specs = [QuestionSpec(options=("A", "B"), correct="A")]
         responses = [
             ExamineeResponses.of(f"s{i}", ["Z"]) for i in range(8)
         ]
-        for engine in ("columnar", "reference"):
+        for analyze in (analyze_cohort, reference_analyze_cohort):
             with pytest.raises(AnalysisError, match="unknown option 'Z'"):
-                analyze_cohort(responses, specs, engine=engine)
+                analyze(responses, specs)
 
     def test_unknown_option_outside_groups_tolerated(self):
         # an unknown label on a mid-ranked examinee never enters the
@@ -188,15 +170,24 @@ class TestErrorParity:
 
 class TestCapacityFallback:
     def test_overwide_question_falls_back_to_reference(self):
-        # 300 options cannot be interned into one byte; the dispatch must
-        # transparently produce the reference result instead of failing
+        # 300 options cannot be interned into one byte; analyze_cohort
+        # must transparently produce the reference result instead of
+        # failing, and count the fallback
+        from repro import obs
+
         options = tuple(f"o{i}" for i in range(300))
         specs = [QuestionSpec(options=options, correct="o0")]
         responses = [
             ExamineeResponses.of(f"s{i}", [options[i % 300]]) for i in range(16)
         ]
-        fast = fast_analyze_cohort(responses, specs)
-        reference = analyze_cohort(responses, specs, engine="reference")
+        previous = obs.set_registry(obs.Registry(enabled=True))
+        try:
+            fast = analyze_cohort(responses, specs)
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.set_registry(previous)
+        assert counters["analyze.columnar.fallbacks"] == 1
+        reference = reference_analyze_cohort(responses, specs)
         assert fast == reference
 
     def test_response_matrix_itself_rejects_overwide_questions(self):
@@ -216,9 +207,7 @@ class TestIncrementalDifferential:
         for count, response in enumerate(responses, start=1):
             live.add_sitting(response)
             if count >= 8:  # enough for a 25% split
-                expected = analyze_cohort(
-                    responses[:count], specs, engine="reference"
-                )
+                expected = reference_analyze_cohort(responses[:count], specs)
                 assert live.analysis() == expected
 
     def test_invalidate_matches_recompute_without_examinee(self):
@@ -230,9 +219,7 @@ class TestIncrementalDifferential:
         assert live.invalidate(dropped) is True
         assert dropped not in live
         remaining = [r for r in responses if r.examinee_id != dropped]
-        assert live.analysis() == analyze_cohort(
-            remaining, specs, engine="reference"
-        )
+        assert live.analysis() == reference_analyze_cohort(remaining, specs)
 
     def test_invalidate_unknown_id_is_a_noop(self):
         responses, specs = make_random_cohort(52, 12, 2, 3, 0.0, False)
@@ -253,9 +240,7 @@ class TestIncrementalDifferential:
         )
         live.invalidate(resat.examinee_id)
         live.add_sitting(resat)
-        expected = analyze_cohort(
-            responses[1:] + [resat], specs, engine="reference"
-        )
+        expected = reference_analyze_cohort(responses[1:] + [resat], specs)
         assert live.analysis() == expected
 
     def test_live_rejects_ragged_and_duplicate_sittings(self):
@@ -309,9 +294,7 @@ class TestStdlibFallback:
         live = LiveCohortAnalysis(specs)
         for response in responses:
             live.add_sitting(response)
-        assert live.analysis() == analyze_cohort(
-            responses, specs, engine="reference"
-        )
+        assert live.analysis() == reference_analyze_cohort(responses, specs)
 
 
 class TestVectorEncodeFallbacks:
@@ -421,7 +404,7 @@ class TestVectorEncodeFallbacks:
         # a mid-scoring examinee picks a label no question offers: both
         # engines must tolerate it (it never lands in an extreme group)
         responses, specs = make_random_cohort(80, 81, 6, 4, 0.0, True)
-        scores = analyze_cohort(responses, specs, engine="reference").scores
+        scores = reference_analyze_cohort(responses, specs).scores
         ranked = sorted(responses, key=lambda r: scores[r.examinee_id])
         mid = ranked[len(ranked) // 2]
         altered = [

@@ -5,14 +5,9 @@ import pytest
 
 from columnar_cases import make_random_cohort
 
-from repro.core.columnar import (
-    SKIP,
-    LiveCohortAnalysis,
-    ResponseMatrix,
-    fast_analyze_cohort,
-)
+from repro.core.columnar import SKIP, LiveCohortAnalysis, ResponseMatrix
 from repro.core.errors import AnalysisError
-from repro.core.question_analysis import QuestionSpec
+from repro.core.question_analysis import QuestionSpec, analyze_cohort
 
 try:
     import numpy
@@ -38,7 +33,7 @@ class TestFromArrays:
         matrix = ResponseMatrix.from_arrays(
             specs, ids, encode_cohort(responses, specs)
         )
-        assert matrix.analyze() == fast_analyze_cohort(responses, specs)
+        assert matrix.analyze() == analyze_cohort(responses, specs)
         assert matrix.scores == [
             sum(
                 1
@@ -56,7 +51,7 @@ class TestFromArrays:
             encode_cohort(responses, specs), dtype=numpy.uint8
         )
         matrix = ResponseMatrix.from_arrays(specs, ids, flat.reshape(40, 6))
-        assert matrix.analyze() == fast_analyze_cohort(responses, specs)
+        assert matrix.analyze() == analyze_cohort(responses, specs)
 
     def test_empty_append_is_noop(self):
         specs = [QuestionSpec(options=("A", "B"), correct="A")]
@@ -71,7 +66,7 @@ class TestFromArrays:
         matrix = ResponseMatrix(specs)
         matrix.extend_codes(ids[:20], buffer[: 20 * 4])
         matrix.extend_codes(ids[20:], buffer[20 * 4 :])
-        assert matrix.analyze() == fast_analyze_cohort(responses, specs)
+        assert matrix.analyze() == analyze_cohort(responses, specs)
 
     def test_shape_mismatch_rejected(self):
         specs = [QuestionSpec(options=("A", "B"), correct="A")] * 2
@@ -107,7 +102,7 @@ class TestFromArrays:
             [response.examinee_id for response in tail],
             encode_cohort(tail, specs),
         )
-        assert matrix.analyze() == fast_analyze_cohort(responses, specs)
+        assert matrix.analyze() == analyze_cohort(responses, specs)
 
 
 class TestLiveExtendCodes:
@@ -120,7 +115,7 @@ class TestLiveExtendCodes:
         )
         assert len(live) == 40
         assert live.width == 5
-        assert live.analysis() == fast_analyze_cohort(responses, specs)
+        assert live.analysis() == analyze_cohort(responses, specs)
 
     def test_extend_codes_invalidates_cache(self):
         responses, specs = make_random_cohort(8, 40, 5, 4, 0.0, False)

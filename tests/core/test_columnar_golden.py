@@ -15,9 +15,12 @@ from pathlib import Path
 import pytest
 from columnar_cases import make_random_cohort
 
-from repro.core.columnar import fast_analyze_cohort
 from repro.core.indices import difficulty_index
-from repro.core.question_analysis import analyze_cohort, analyze_matrix
+from repro.core.question_analysis import (
+    analyze_cohort,
+    analyze_matrix,
+    reference_analyze_cohort,
+)
 from repro.core.rules import OptionMatrix, Status, evaluate_rules
 from repro.core.signals import DEFAULT_POLICY
 
@@ -90,8 +93,12 @@ def test_table3_signal_bands(golden):
         assert DEFAULT_POLICY.classify(discrimination).value == expected
 
 
-@pytest.mark.parametrize("engine", ["columnar", "reference"])
-def test_pinned_cohort(golden, engine):
+@pytest.mark.parametrize(
+    "analyze",
+    [analyze_cohort, reference_analyze_cohort],
+    ids=["columnar", "reference"],
+)
+def test_pinned_cohort(golden, analyze):
     """A full randomized cohort pinned field-by-field: any drift in either
     engine (grouping, counts, indices, signals, rules) fails here."""
     pin = golden["pinned_cohort"]
@@ -103,7 +110,7 @@ def test_pinned_cohort(golden, engine):
         pin["skip_rate"],
         pin["tie_heavy"],
     )
-    result = analyze_cohort(responses, specs, engine=engine)
+    result = analyze(responses, specs)
     assert result.high_group == pin["high_group"]
     assert result.low_group == pin["low_group"]
     assert sum(result.scores.values()) == pin["score_total"]
@@ -131,6 +138,6 @@ def test_both_engines_agree_on_pinned_cohort(golden):
         pin["skip_rate"],
         pin["tie_heavy"],
     )
-    assert fast_analyze_cohort(responses, specs) == analyze_cohort(
-        responses, specs, engine="reference"
+    assert analyze_cohort(responses, specs) == reference_analyze_cohort(
+        responses, specs
     )

@@ -20,9 +20,12 @@ from hypothesis import strategies as st
 
 from columnar_cases import make_random_cohort
 
-from repro.core.columnar import fast_analyze_cohort
 from repro.core.grouping import GroupSplit
-from repro.core.question_analysis import ExamineeResponses, analyze_cohort
+from repro.core.question_analysis import (
+    ExamineeResponses,
+    analyze_cohort,
+    reference_analyze_cohort,
+)
 from repro.core.signals import DEFAULT_POLICY
 
 cohort_shapes = st.tuples(
@@ -42,7 +45,7 @@ def test_indices_invariants(shape):
     responses, specs = make_random_cohort(
         seed, size, questions, option_count, skip_rate, tie_heavy
     )
-    result = fast_analyze_cohort(responses, specs)
+    result = analyze_cohort(responses, specs)
     for analysis in result.questions:
         # exact float identities, by construction of analyze_matrix
         assert analysis.discrimination == analysis.p_high - analysis.p_low
@@ -67,7 +70,7 @@ def test_grouping_invariants(shape, fraction):
         seed, size, questions, option_count, skip_rate, tie_heavy
     )
     split = GroupSplit(fraction=fraction)
-    result = fast_analyze_cohort(responses, specs, split=split)
+    result = analyze_cohort(responses, specs, split=split)
 
     expected_size = int(size * fraction)
     assert len(result.high_group) == expected_size
@@ -97,7 +100,7 @@ def test_scores_count_correct_selections(shape):
     responses, specs = make_random_cohort(
         seed, size, questions, option_count, skip_rate, tie_heavy
     )
-    result = fast_analyze_cohort(responses, specs)
+    result = analyze_cohort(responses, specs)
     for response in responses:
         expected = sum(
             1
@@ -116,8 +119,8 @@ def test_tie_stability_under_reordering_is_deterministic(seed, size):
     """Shuffling then restoring the cohort order reproduces the groups:
     the split depends only on (score, original position)."""
     responses, specs = make_random_cohort(seed, size, 3, 3, 0.0, True)
-    first = fast_analyze_cohort(responses, specs)
-    again = fast_analyze_cohort(list(responses), specs)
+    first = analyze_cohort(responses, specs)
+    again = analyze_cohort(list(responses), specs)
     assert first.high_group == again.high_group
     assert first.low_group == again.low_group
 
@@ -125,7 +128,7 @@ def test_tie_stability_under_reordering_is_deterministic(seed, size):
     # the multiset of group *scores* is order-independent
     shuffled = list(responses)
     random.Random(seed ^ 0xBEEF).shuffle(shuffled)
-    reordered = fast_analyze_cohort(shuffled, specs)
+    reordered = analyze_cohort(shuffled, specs)
     assert sorted(
         reordered.scores[i] for i in reordered.high_group
     ) == sorted(first.scores[i] for i in first.high_group)
@@ -141,7 +144,7 @@ def test_rule_4_implies_rule_3_and_option_sums_bound(shape):
     responses, specs = make_random_cohort(
         seed, size, questions, option_count, skip_rate, tie_heavy
     )
-    result = fast_analyze_cohort(responses, specs)
+    result = analyze_cohort(responses, specs)
     group_size = len(result.high_group)
     for analysis in result.questions:
         if analysis.rules.rule_fired(4):
@@ -215,6 +218,6 @@ def test_duplicate_ids_always_rejected(seed, duplicate_of):
             responses[duplicate_of].examinee_id, ["A", "A"]
         )
     )
-    for engine in ("columnar", "reference"):
+    for analyze in (analyze_cohort, reference_analyze_cohort):
         with pytest.raises(AnalysisError, match="duplicate examinee id"):
-            analyze_cohort(responses, specs, engine=engine)
+            analyze(responses, specs)

@@ -12,6 +12,7 @@ from repro.core.question_analysis import (
     analyze_cohort,
     analyze_matrix,
     number_representation_rows,
+    reference_analyze_cohort,
     render_number_representation,
 )
 from repro.core.rules import OptionMatrix
@@ -169,8 +170,12 @@ class TestAnalyzeCohort:
         with pytest.raises(AnalysisError):
             analyze_cohort(responses, specs)
 
-    @pytest.mark.parametrize("engine", ["columnar", "reference"])
-    def test_ragged_responses_error_names_the_examinee(self, engine):
+    @pytest.mark.parametrize(
+        "analyze",
+        [analyze_cohort, reference_analyze_cohort],
+        ids=["columnar", "reference"],
+    )
+    def test_ragged_responses_error_names_the_examinee(self, analyze):
         """Regression: a selections/answer-key length mismatch must raise a
         clear AnalysisError naming the examinee and both lengths — never
         silently mis-group."""
@@ -182,10 +187,14 @@ class TestAnalyzeCohort:
             AnalysisError,
             match=r"'truncated' answered 2 questions; exam has 3",
         ):
-            analyze_cohort(responses, specs, engine=engine)
+            analyze(responses, specs)
 
-    @pytest.mark.parametrize("engine", ["columnar", "reference"])
-    def test_overlong_responses_rejected(self, engine):
+    @pytest.mark.parametrize(
+        "analyze",
+        [analyze_cohort, reference_analyze_cohort],
+        ids=["columnar", "reference"],
+    )
+    def test_overlong_responses_rejected(self, analyze):
         specs = [QuestionSpec(options=("A", "B"), correct="A")]
         responses = [
             ExamineeResponses.of(f"s{i}", ["A"]) for i in range(7)
@@ -193,10 +202,14 @@ class TestAnalyzeCohort:
         with pytest.raises(
             AnalysisError, match=r"'padded' answered 2 questions; exam has 1"
         ):
-            analyze_cohort(responses, specs, engine=engine)
+            analyze(responses, specs)
 
-    @pytest.mark.parametrize("engine", ["columnar", "reference"])
-    def test_duplicate_examinee_ids_rejected(self, engine):
+    @pytest.mark.parametrize(
+        "analyze",
+        [analyze_cohort, reference_analyze_cohort],
+        ids=["columnar", "reference"],
+    )
+    def test_duplicate_examinee_ids_rejected(self, analyze):
         """Regression: duplicate ids used to mis-group silently (the score
         table kept one sitting while the matrices counted both)."""
         specs = [QuestionSpec(options=("A", "B"), correct="A")]
@@ -204,7 +217,7 @@ class TestAnalyzeCohort:
             ExamineeResponses.of(f"s{i}", ["A"]) for i in range(8)
         ] + [ExamineeResponses.of("s3", ["B"])]
         with pytest.raises(AnalysisError, match="duplicate examinee id 's3'"):
-            analyze_cohort(responses, specs, engine=engine)
+            analyze(responses, specs)
 
     def test_question_lookup(self):
         responses, specs = make_cohort(questions=3)

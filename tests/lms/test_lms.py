@@ -11,7 +11,9 @@ from repro.core.errors import (
     NotFoundError,
     SessionStateError,
 )
+from repro.core.question_analysis import reference_analyze_cohort
 from repro.delivery.clock import ManualClock
+from repro.delivery.scoring import sittings_to_responses
 from repro.exams.authoring import ExamBuilder
 from repro.items.choice import MultipleChoiceItem
 from repro.lms.learners import Learner, LearnerRegistry
@@ -315,8 +317,10 @@ class TestAnalysisIntegration:
         lms = Lms(clock=clock)
         lms.offer_exam(two_question_exam())
         self._run_cohort(lms, clock)
-        assert lms.analyze_exam("ex1", engine="columnar") == lms.analyze_exam(
-            "ex1", engine="reference"
+        exam = lms.exam("ex1")
+        responses = sittings_to_responses(exam, lms.results_for("ex1"))
+        assert lms.analyze_exam("ex1") == reference_analyze_cohort(
+            responses, exam.question_specs()
         )
 
     def test_live_analysis_tracks_submissions_incrementally(self):

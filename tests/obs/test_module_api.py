@@ -87,33 +87,29 @@ class TestInstrumentedPaths:
 
     def test_analyze_cohort_spans_both_engines(self, fresh_registry):
         from repro import ExamineeResponses, QuestionSpec, analyze_cohort
+        from repro.core.question_analysis import reference_analyze_cohort
 
         specs = [QuestionSpec(options=("A", "B"), correct="A")] * 3
         cohort = [
             ExamineeResponses.of(f"s{i}", ["A", "B", "A"]) for i in range(8)
         ]
         obs.enable()
-        analyze_cohort(cohort, specs, engine="columnar")
-        analyze_cohort(cohort, specs, engine="reference")
+        analyze_cohort(cohort, specs)
+        reference_analyze_cohort(cohort, specs)
         names = [s["name"] for s in obs.snapshot()["spans"]]
         assert "analyze.columnar" in names
         assert "analyze.reference" in names
 
     def test_simulation_emits_shard_spans_and_counters(self, fresh_registry):
-        from repro import (
-            classroom_exam,
-            classroom_parameters,
-            make_population,
-            simulate_sitting_data,
-        )
+        from repro import classroom_exam, classroom_parameters, make_population
+        from repro.sim.vectorized import simulate_sitting_arrays
 
         obs.enable()
-        simulate_sitting_data(
+        simulate_sitting_arrays(
             classroom_exam(5),
             classroom_parameters(5),
             make_population(10, seed=1),
             seed=2,
-            sim_engine="auto",
         )
         snap = obs.snapshot()
         (generate,) = [

@@ -59,6 +59,35 @@ class TestCheckpointFiles:
         assert latest_readmodel_checkpoint(tmp_path) == files[-1]
         journal.close()
 
+    def test_save_fsyncs_the_directory_after_the_rename(
+        self, tmp_path, monkeypatch
+    ):
+        import os
+        import stat
+
+        journal, _, _ = drive(tmp_path)
+        model = rebuild(tmp_path)
+        events = []
+        real_replace, real_fsync = os.replace, os.fsync
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(dst)))
+            return real_replace(src, dst)
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "fsync", fsync)
+        path = save_readmodel(model, tmp_path)
+        monkeypatch.undo()
+        renamed = events.index(("replace", path.name))
+        assert ("fsync", "file") in events[:renamed]
+        assert ("fsync", "dir") in events[renamed:]
+        journal.close()
+
     def test_keep_zero_rejected(self, tmp_path):
         with pytest.raises(StoreError):
             save_readmodel(ReadModel(), tmp_path, keep=0)

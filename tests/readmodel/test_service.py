@@ -121,6 +121,39 @@ class TestResume:
         assert service.model.exam("ex1").submits == 1
         journal.close()
 
+    def test_unreadable_newest_checkpoint_resumes_from_the_older_one(
+        self, tmp_path
+    ):
+        """The follower keeps two checkpoints so that one bad file never
+        strands it: with the newest unreadable and the journal head
+        retired, it must resume from the older one, not from LSN 0."""
+        from repro.store import Checkpointer, segment_files, segment_first_lsn
+
+        journal = Journal.open(tmp_path, fsync="never", segment_bytes=256)
+        lms, clock = journaled_lms(journal)
+        enroll_cohort(lms, [f"l{n}" for n in range(4)])
+        follower = ReadModelService(tmp_path, journal=journal)
+        checkpointer = Checkpointer(lms, journal)
+        for n in range(4):
+            sit(lms, clock, f"l{n}")
+            journal.sync()
+            # the server's checkpoint pass, in its order
+            follower.sync()
+            checkpointer.checkpoint()
+            follower.checkpoint()
+        older, newest = readmodel_files(tmp_path)
+        oldest_segment = segment_first_lsn(segment_files(tmp_path)[0])
+        assert oldest_segment > 1, "compaction must retire the head"
+        newest.write_text("{ torn", encoding="utf-8")
+
+        service = ReadModelService(tmp_path, journal=journal)
+        assert 0 < service.model.applied_lsn < journal.last_lsn
+        assert service.model.applied_lsn + 1 >= oldest_segment
+        service.sync()
+        assert service.model.applied_lsn == journal.last_lsn
+        assert service.model.exam("ex1").submits == 4
+        journal.close()
+
     def test_truncation_ahead_restarts_from_checkpoint(self, tmp_path):
         """An external compactor retiring records past a stale
         follower's position forces a restart from the newest read-model

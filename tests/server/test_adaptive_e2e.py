@@ -295,6 +295,59 @@ class TestCalibrationLoop:
         assert status == 200
         assert [entry["version"] for entry in payload["applied"]] == [1]
 
+    def test_torn_snapshot_write_leaves_nothing_and_boot_survives(
+        self, wal_dir, monkeypatch
+    ):
+        import io
+
+        from repro.adaptive.online import write_calibration_snapshot
+
+        with ExamServer(wal_dir=wal_dir, fsync="never") as srv:
+            admin = Client(srv)
+            setup_over_http(admin)
+            admin.close()
+            exam = srv.lms.exam(EXAM_ID)
+            pool = exam.adaptive.pool_for(exam)
+
+        class Killed(BaseException):
+            """The writer's process dying mid-write."""
+
+        class TornFile:
+            """A file whose writer dies halfway through a write."""
+
+            def __init__(self, stream):
+                self._stream = stream
+
+            def write(self, text):
+                self._stream.write(text[: len(text) // 2])
+                self._stream.flush()
+                raise Killed()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._stream.close()
+
+            def __getattr__(self, name):
+                return getattr(self._stream, name)
+
+        real_open = io.open
+
+        def torn_open(file, mode="r", *args, **kwargs):
+            stream = real_open(file, mode, *args, **kwargs)
+            return TornFile(stream) if "w" in mode else stream
+
+        calibration = wal_dir / "calibration"
+        monkeypatch.setattr(io, "open", torn_open)
+        with pytest.raises(Killed):
+            write_calibration_snapshot(calibration, EXAM_ID, 1, pool)
+        monkeypatch.undo()
+        # neither a half-written snapshot nor a temp file is left
+        assert list(calibration.iterdir()) == []
+        with ExamServer(wal_dir=wal_dir, fsync="never") as srv:
+            assert srv.lms.calibration_version(EXAM_ID) == 0
+
     def test_calibrate_needs_enough_sittings(self, wal_dir):
         self.submitted_cohort(wal_dir)
         assert self.run_cli("calibrate", wal_dir, "--min-sittings", "5") == 1

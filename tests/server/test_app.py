@@ -459,6 +459,12 @@ class TestGracefulShutdown:
         outcome = {}
         try:
             client.post(f"/exams/{EXAM_ID}/sittings/amy/start")
+            # the start's in-flight slot is released only after its 201
+            # is sent; wait for it, so the count below is the GET's
+            deadline = time.time() + 5
+            while server.in_flight.current() != 0:
+                assert time.time() < deadline, "start never left flight"
+                time.sleep(0.005)
             # stall the LMS: the next request blocks inside its handler
             server.lms.lock.acquire()
 
@@ -519,6 +525,21 @@ class TestGracefulShutdown:
                 server.start()
         finally:
             server.shutdown()
+
+    def test_shutdown_of_a_never_started_server_returns(self, tmp_path):
+        import socket
+
+        server = ExamServer(seeded_lms(), wal_dir=tmp_path)
+        server.add_front_listener(0)
+        host, port = server.host, server.port
+        shutter = threading.Thread(target=server.shutdown, daemon=True)
+        shutter.start()
+        shutter.join(timeout=5)
+        assert not shutter.is_alive(), "shutdown hung on an unstarted server"
+        # the drain's other steps still ran: final checkpoint, port freed
+        assert list(tmp_path.glob("checkpoint-*.json"))
+        with socket.socket() as probe:
+            probe.bind((host, port))
 
 
 class TestWalDurability:

@@ -3,6 +3,7 @@
 
 import pytest
 
+import repro.sim.adaptive_cohort as adaptive_cohort
 from repro.core.errors import AnalysisError
 from repro.sim.adaptive_cohort import simulate_adaptive_cohort
 from repro.sim.population import make_population
@@ -21,18 +22,18 @@ def learners():
 
 
 class TestEngineParity:
-    def test_scalar_and_vectorized_are_identical(self, exam, learners):
-        """Both engines consume the same pre-drawn randomness, so the
+    def test_scalar_and_vectorized_are_identical(
+        self, exam, learners, monkeypatch
+    ):
+        """Both drivers consume the same pre-drawn randomness, so the
         administered item order, correctness, stop reasons, and commit
         times must agree exactly — not approximately."""
         if not HAVE_NUMPY:
-            pytest.skip("numpy unavailable; engines are the same code path")
-        scalar = simulate_adaptive_cohort(
-            exam, learners, seed=5, engine="scalar"
-        )
-        vector = simulate_adaptive_cohort(
-            exam, learners, seed=5, engine="vectorized"
-        )
+            pytest.skip("numpy unavailable; only the scalar driver runs")
+        vector = simulate_adaptive_cohort(exam, learners, seed=5)
+        # the scalar driver is the one that runs where numpy is missing
+        monkeypatch.setattr(adaptive_cohort, "HAVE_NUMPY", False)
+        scalar = simulate_adaptive_cohort(exam, learners, seed=5)
         assert scalar.item_sequences == vector.item_sequences
         assert scalar.response_flags == vector.response_flags
         assert scalar.stop_reasons == vector.stop_reasons
@@ -56,10 +57,6 @@ class TestValidation:
     def test_requires_adaptive_policy(self, learners):
         with pytest.raises(AnalysisError, match="adaptive"):
             simulate_adaptive_cohort(classroom_exam(5), learners)
-
-    def test_rejects_unknown_engine(self, exam, learners):
-        with pytest.raises(AnalysisError, match="unknown adaptive sim"):
-            simulate_adaptive_cohort(exam, learners, engine="quantum")
 
     def test_rejects_bad_noise_and_pace(self, exam, learners):
         with pytest.raises(AnalysisError, match="sigma"):

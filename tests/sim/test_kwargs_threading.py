@@ -9,7 +9,6 @@ with capture spies (the exact object must reach ``analyze_cohort``).
 
 import pytest
 
-import repro.core.question_analysis as qa
 import repro.lms.lms as lms_module
 from repro import (
     GroupSplit,
@@ -19,27 +18,40 @@ from repro import (
     pre_post_cohorts,
     simulate_sitting_data,
 )
+from repro.core.columnar import ResponseMatrix
+from repro.core.question_analysis import reference_analyze_cohort
 from repro.core.signals import SignalPolicy
 from repro.delivery.clock import ManualClock
+from repro.delivery.scoring import sittings_to_responses
 from repro.exams.authoring import ExamBuilder
 from repro.items.choice import MultipleChoiceItem
 from repro.lms.learners import Learner
 from repro.lms.lms import Lms
+from repro.sim.vectorized import simulate_sitting_arrays
 
 POLICY = SignalPolicy(green_min=0.5, yellow_min=0.25)
 THRESHOLD = 0.123
 
 
-def spy_on(monkeypatch, module, name="analyze_cohort"):
-    """Wrap ``module.name`` so every call's kwargs are captured."""
+#: both cohort generators, under their ``--sim-engine`` names
+GENERATORS = pytest.mark.parametrize(
+    "simulate",
+    [simulate_sitting_data, simulate_sitting_arrays],
+    ids=["scalar", "auto"],
+)
+
+
+def spy_on(monkeypatch, owner, name="analyze_cohort"):
+    """Wrap ``owner.name`` (a module function or a class's method) so
+    every call's kwargs are captured."""
     calls = []
-    real = getattr(module, name)
+    real = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls.append(kwargs)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -49,15 +61,11 @@ def small_setup(count=12):
 
 
 class TestSimulateSittingData:
-    @pytest.mark.parametrize("sim_engine", ["scalar", "auto"])
-    def test_sigma_changes_answer_times(self, sim_engine):
+    @GENERATORS
+    def test_sigma_changes_answer_times(self, simulate):
         exam, params, learners = small_setup()
-        tight = simulate_sitting_data(
-            exam, params, learners, seed=5, sigma=0.0, sim_engine=sim_engine
-        )
-        loose = simulate_sitting_data(
-            exam, params, learners, seed=5, sigma=0.9, sim_engine=sim_engine
-        )
+        tight = simulate(exam, params, learners, seed=5, sigma=0.0)
+        loose = simulate(exam, params, learners, seed=5, sigma=0.9)
         assert tight.answer_times != loose.answer_times
 
     def test_base_seconds_scales_times(self):
@@ -87,25 +95,18 @@ class TestSimulateSittingData:
 
 
 class TestAnalyzeForwarding:
-    @pytest.mark.parametrize("sim_engine", ["scalar", "auto"])
+    @GENERATORS
     def test_sitting_data_analyze_forwards_everything(
-        self, monkeypatch, sim_engine
+        self, monkeypatch, simulate
     ):
         exam, params, learners = small_setup(16)
-        data = simulate_sitting_data(
-            exam, params, learners, seed=7, sim_engine=sim_engine
-        )
-        calls = spy_on(monkeypatch, qa)
+        data = simulate(exam, params, learners, seed=7)
+        # both data shapes end in the columnar matrix's analysis
+        calls = spy_on(monkeypatch, ResponseMatrix, "analyze")
         split = GroupSplit(fraction=0.5)
-        data.analyze(
-            split=split,
-            engine="reference",
-            policy=POLICY,
-            spread_threshold=THRESHOLD,
-        )
+        data.analyze(split=split, policy=POLICY, spread_threshold=THRESHOLD)
         (kwargs,) = calls
         assert kwargs["split"] is split
-        assert kwargs["engine"] == "reference"
         assert kwargs["policy"] is POLICY
         assert kwargs["spread_threshold"] == THRESHOLD
 
@@ -150,22 +151,25 @@ class TestLmsForwarding:
         calls = spy_on(monkeypatch, lms_module)
         split = GroupSplit(fraction=0.5)
         lms.analyze_exam(
-            "ex1",
-            engine="reference",
-            split=split,
-            policy=POLICY,
-            spread_threshold=THRESHOLD,
+            "ex1", split=split, policy=POLICY, spread_threshold=THRESHOLD
         )
         (kwargs,) = calls
         assert kwargs["split"] is split
-        assert kwargs["engine"] == "reference"
         assert kwargs["policy"] is POLICY
         assert kwargs["spread_threshold"] == THRESHOLD
 
+    def _reference(self, lms, **kwargs):
+        """The reference pipeline over the LMS's submitted cohort."""
+        exam = lms.exam("ex1")
+        responses = sittings_to_responses(exam, lms.results_for("ex1"))
+        return reference_analyze_cohort(
+            responses, exam.question_specs(), **kwargs
+        )
+
     def test_analyze_exam_engine_parity(self):
         lms = self._lms_with_results()
-        columnar = lms.analyze_exam("ex1", engine="columnar")
-        reference = lms.analyze_exam("ex1", engine="reference")
+        columnar = lms.analyze_exam("ex1")
+        reference = self._reference(lms)
         assert [q.difficulty for q in columnar.questions] == [
             q.difficulty for q in reference.questions
         ]
@@ -184,7 +188,8 @@ class TestLmsForwarding:
         lms = self._lms_with_results()
         calls = spy_on(monkeypatch, lms_module)
         split = GroupSplit(fraction=0.5)
-        lms.report_for("ex1", engine="reference", split=split)
+        report = lms.report_for("ex1", split=split)
         (kwargs,) = calls
         assert kwargs["split"] is split
-        assert kwargs["engine"] == "reference"
+        # the report's analysis is the reference engine's, to the field
+        assert report.cohort == self._reference(lms, split=split)

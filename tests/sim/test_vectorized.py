@@ -16,15 +16,15 @@ import statistics
 
 import pytest
 
-from repro.core.columnar import SKIP, LiveCohortAnalysis, fast_analyze_cohort
+from repro.core.columnar import SKIP, LiveCohortAnalysis
 from repro.core.errors import AnalysisError
+from repro.core.question_analysis import (
+    analyze_cohort,
+    reference_analyze_cohort,
+)
 from repro.sim.learner_model import ItemParameters
 from repro.sim.population import make_population
-from repro.sim.vectorized import (
-    VectorizedSittingData,
-    simulate_sharded,
-    simulate_sitting_arrays,
-)
+from repro.sim.vectorized import simulate_sharded, simulate_sitting_arrays
 from repro.sim.workloads import (
     classroom_exam,
     classroom_parameters,
@@ -147,26 +147,14 @@ class TestCompatibility:
     def test_array_analysis_equals_object_analysis(self):
         # the fast path (codes -> from_arrays) must equal running the
         # columnar engine over the materialized objects, field for field
-        assert self.data.analyze() == fast_analyze_cohort(
+        assert self.data.analyze() == analyze_cohort(
             self.data.responses, self.data.specs
         )
 
     def test_reference_engine_reachable(self):
-        assert self.data.analyze(engine="reference") == self.data.analyze()
-
-    def test_sim_engine_switch_returns_wrapper(self):
-        data = simulate_sitting_data(
-            self.exam, self.parameters, self.learners, seed=3,
-            sim_engine="vectorized",
-        )
-        assert isinstance(data, VectorizedSittingData)
-        assert data.codes == self.data.codes
-
-    def test_unknown_sim_engine_rejected(self):
-        with pytest.raises(AnalysisError, match="unknown sim engine"):
-            simulate_sitting_data(
-                self.exam, self.parameters, self.learners, sim_engine="turbo"
-            )
+        assert reference_analyze_cohort(
+            self.data.responses, self.data.specs
+        ) == self.data.analyze()
 
 
 def dead_distractor_exam_and_params():

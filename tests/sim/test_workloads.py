@@ -157,13 +157,19 @@ class TestPrePost:
             assert ratio == pytest.approx(10.0, rel=1e-9)
 
     def test_sim_engine_threads_through(self):
-        from repro.sim.vectorized import VectorizedSittingData
-
-        exam = classroom_exam()
+        # both sittings come from the scalar generator with every
+        # argument forwarded: the pre sitting equals a direct call
+        exam, parameters = classroom_exam(), classroom_parameters()
         pre, post = pre_post_cohorts(
-            exam, classroom_parameters(), size=40, seed=3,
-            sim_engine="vectorized",
+            exam, parameters, size=40, seed=3,
+            base_seconds=30.0, omit_rate=0.1, sigma=0.5,
         )
-        assert isinstance(pre, VectorizedSittingData)
-        assert isinstance(post, VectorizedSittingData)
-        assert sum(post.scores) > sum(pre.scores)
+        direct = simulate_sitting_data(
+            exam, parameters, make_population(40, mean_ability=-0.6, seed=3),
+            seed=4, base_seconds=30.0, omit_rate=0.1, sigma=0.5,
+        )
+        assert pre.responses == direct.responses
+        assert pre.answer_times == direct.answer_times
+        assert sum(post.analyze().scores.values()) > sum(
+            pre.analyze().scores.values()
+        )
