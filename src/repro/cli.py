@@ -734,7 +734,7 @@ def _analytics_payload(models, exam_id):
 
         matrix = merge_partials(
             holders[0].exam.question_specs(),
-            [holder.partial() for holder in holders],
+            [holder.cohort.partial() for holder in holders],
         )
         payload["analysis"] = analysis_to_dict(matrix.analyze())
     return payload

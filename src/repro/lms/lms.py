@@ -26,10 +26,10 @@ per-learner hot paths — answer, batch, suspend, resume, submit — take
 it in *shared* mode plus the sitting's own lock, so a slow submit
 cannot stall unrelated learners.  Structural mutations (offer,
 register, enroll, start) stay exclusive.  Shared result structures
-(``_results``, ``_live``, learner records) are guarded by a small
-``_commit_lock`` held only for the final appends of a submit and its
-journal write, so the log holds submits in the order they committed;
-a group commit's fsync wait comes after the lock is released.
+(``_results``, the exams' cohort folds, learner records) are guarded
+by a small ``_commit_lock`` held only for the final appends of a submit
+and its journal write, so the log holds submits in the order they
+committed; a group commit's fsync wait comes after the lock is released.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.core.errors import (
 from repro.core.grouping import GroupSplit
 from repro.core.rules import DEFAULT_SPREAD_THRESHOLD
 from repro.core.signals import DEFAULT_POLICY, SignalPolicy
-from repro.core.columnar import LiveCohortAnalysis
 from repro.core.question_analysis import (
     CohortAnalysis,
     ExamineeResponses,
@@ -58,6 +57,7 @@ from repro.core.question_analysis import (
 from repro.core.report import AssessmentReport, build_report
 from repro.delivery.clock import Clock, WallClock
 from repro.delivery.scoring import (
+    ExamCohort,
     GradedSitting,
     grade_session,
     sittings_to_responses,
@@ -142,7 +142,7 @@ class Lms:
         #: Hot paths take :meth:`ShardLock.shared` plus the sitting's
         #: own lock instead, so unrelated learners proceed in parallel.
         self.lock = ShardLock(self.lock_stats)
-        #: guards _results, _live, and learner progress records during
+        #: guards _results, _cohorts, and learner progress records during
         #: shared-mode submits (exclusive holders exclude it implicitly)
         self._commit_lock = threading.Lock()
         self._exams: Dict[str, Exam] = {}
@@ -158,7 +158,8 @@ class Lms:
         ] = {}
         self._sittings: Dict[Tuple[str, str], LmsSitting] = {}
         self._results: Dict[str, List[GradedSitting]] = {}
-        self._live: Dict[str, LiveCohortAnalysis] = {}  # warm analyses
+        #: per exam: the cohort aggregates every submit folds into
+        self._cohorts: Dict[str, ExamCohort] = {}
         #: while a batch mutator is in flight on a thread, _emit collects
         #: that thread's events here so the whole batch lands in one
         #: Journal.append_batch call (thread-local: concurrent batches on
@@ -224,6 +225,11 @@ class Lms:
             exam.validate()
             self._exams[exam.exam_id] = exam
             self._enrollment[exam.exam_id] = set()
+            # fold the results already held: those of a withdrawn exam
+            # offered again, or those a checkpoint restored
+            cohort = self._cohorts[exam.exam_id] = ExamCohort(exam)
+            for graded in self._results.get(exam.exam_id, ()):
+                cohort.fold(graded.learner_id, graded.scores)
             if exam.adaptive is not None:
                 # install-time precompute: every per-request selection and
                 # ability update from here on is a table lookup
@@ -775,14 +781,7 @@ class Lms:
                     now,
                     detail=f"{graded.percent:.1f}%",
                 )
-                live = self._live.get(exam_id)
-                if live is not None:
-                    response = sittings_to_responses(
-                        sitting.session.exam, [graded]
-                    )[0]
-                    # drop any earlier sitting by this learner
-                    live.invalidate(response.examinee_id)
-                    live.add_sitting(response)
+                self._cohorts[exam_id].fold(learner_id, graded.scores)
                 lsn = self._write_submit(
                     store_events.lifecycle_event(learner_id, exam_id, now)
                 )
@@ -907,33 +906,15 @@ class Lms:
     def live_analysis(self, exam_id: str) -> CohortAnalysis:
         """The §4.1 analysis kept warm across submissions.
 
-        The first call seeds a :class:`LiveCohortAnalysis` from the
-        submitted sittings; afterwards every :meth:`submit` folds the new
-        sitting in incrementally, so serving the current analysis never
-        re-walks the raw responses.
+        Every :meth:`submit` folds its sitting into the exam's
+        :class:`~repro.delivery.scoring.ExamCohort`, so serving the
+        current analysis never re-walks the raw responses.
         """
         with obs.span("lms.live_analysis", exam_id=exam_id), \
                 self.lock.shared():
-            exam = self.exam(exam_id)
-            # the commit mutex serializes seeding against in-flight
-            # submits (which fold into the live analysis under it)
+            self.exam(exam_id)
             with self._commit_lock:
-                return self._live_locked(exam).analysis()
-
-    def _live_locked(self, exam: Exam) -> LiveCohortAnalysis:
-        """The exam's warm analysis, seeded if absent.  Caller holds the
-        shard lock (shared or exclusive) **and** ``_commit_lock``."""
-        live = self._live.get(exam.exam_id)
-        if live is None:
-            obs.count("lms.live_analysis.seeded")
-            live = LiveCohortAnalysis(exam.question_specs())
-            sittings = _dedupe_latest(
-                list(self._results.get(exam.exam_id, ()))
-            )
-            for response in sittings_to_responses(exam, sittings):
-                live.add_sitting(response)
-            self._live[exam.exam_id] = live
-        return live
+                return self._cohorts[exam_id].analysis()
 
     def analysis_partial(self, exam_id: str) -> Dict[str, object]:
         """This LMS's cohort as a scatter-gather partial.
@@ -947,9 +928,9 @@ class Lms:
         """
         with obs.span("lms.analysis_partial", exam_id=exam_id), \
                 self.lock.shared():
-            exam = self.exam(exam_id)
+            self.exam(exam_id)
             with self._commit_lock:
-                return self._live_locked(exam).export_partial()
+                return self._cohorts[exam_id].partial()
 
     def report_for(
         self,
@@ -1002,8 +983,8 @@ def _dedupe_latest(sittings: List[GradedSitting]) -> List[GradedSitting]:
     """Dedupe graded sittings to one per learner, latest submission wins.
 
     pop-then-insert ranks a re-sitter at their most recent submission,
-    matching the warm LiveCohortAnalysis path (boundary ties in the 25%
-    split break by cohort order).
+    matching :meth:`~repro.delivery.scoring.ExamCohort.fold` (boundary
+    ties in the 25% split break by cohort order).
     """
     latest: Dict[str, GradedSitting] = {}
     for sitting in sittings:

@@ -269,6 +269,26 @@ def lms_from_payload(payload: Dict[str, object], clock=None) -> Lms:
         else None
     )
     lms = Lms(clock=clock, monitor=monitor)
+    # results first: offering an exam folds the results held for it, in
+    # submission order, into its cohort
+    for exam_id, sittings in payload.get("results", {}).items():
+        restored = []
+        for record in sittings:
+            restored.append(
+                GradedSitting(
+                    exam_id=exam_id,
+                    learner_id=record["learner_id"],
+                    scores={
+                        item_id: _scored_from_record(score)
+                        for item_id, score in record.get("scores", {}).items()
+                    },
+                    duration_seconds=float(record.get("duration_seconds", 0.0)),
+                    answer_times=[
+                        float(v) for v in record.get("answer_times", [])
+                    ],
+                )
+            )
+        lms._results[exam_id] = restored
     for record in payload.get("exams", []):
         lms.offer_exam(exam_from_record(record))
     # calibration overlays must land before sittings are restored: a
@@ -299,24 +319,6 @@ def lms_from_payload(payload: Dict[str, object], clock=None) -> Lms:
         for learner_id in learner_ids:
             if exam_id in lms._exams and learner_id in lms.learners:
                 lms._enrollment[exam_id].add(learner_id)
-    for exam_id, sittings in payload.get("results", {}).items():
-        restored = []
-        for record in sittings:
-            restored.append(
-                GradedSitting(
-                    exam_id=exam_id,
-                    learner_id=record["learner_id"],
-                    scores={
-                        item_id: _scored_from_record(score)
-                        for item_id, score in record.get("scores", {}).items()
-                    },
-                    duration_seconds=float(record.get("duration_seconds", 0.0)),
-                    answer_times=[
-                        float(v) for v in record.get("answer_times", [])
-                    ],
-                )
-            )
-        lms._results[exam_id] = restored
     for record in payload.get("tracking", []):
         lms.tracking.record(
             EventKind(record["kind"]),

@@ -5,19 +5,15 @@ objects in LSN order (from a :class:`~repro.store.tail.JournalTailer`,
 or a :func:`~repro.store.journal.read_records` replay) and folds each
 event into per-exam aggregates:
 
-* the **cohort matrix** — a :class:`~repro.core.columnar.
-  LiveCohortAnalysis` maintained by *exactly* the live LMS's submit
-  sequence (``invalidate`` the learner's earlier sitting, then
-  ``add_sitting`` the regraded one), so :meth:`analysis` is
-  **bit-identical** to the serving tier's ``live_analysis`` over the
-  same event history — the differential-oracle property the rebuild
-  path is tested against;
-* the **score distribution** — per-learner latest percent plus eleven
-  decade buckets, decremented on re-sit so a learner is never counted
-  twice;
+* the **cohort aggregates** — the cohort matrix, score distribution and
+  per-level correct counts of an :class:`~repro.delivery.scoring.
+  ExamCohort`, the fold the live LMS owns per exam.  A ``submit`` is
+  graded with :func:`~repro.delivery.scoring.score_responses`, as
+  ``grade_session`` grades, and folded by the method the LMS folds
+  with, so :meth:`ExamReadModel.analysis` equals the serving tier's
+  ``live_analysis`` over the same event history by construction;
 * the **Bloom blueprint rollup** — static per-level question counts
-  crossed with a rolling per-level correct count over the cohort's
-  latest sittings;
+  crossed with the cohort's per-level correct totals;
 * the **specification-table aggregate** — the §4.2.2 concept × level
   table, static per offering.
 
@@ -28,18 +24,22 @@ regardless of how much journal lies beneath it.
 The fold is **deterministic and replayable**: applying the same records
 in the same LSN order from any snapshot produces the same state, and
 :meth:`ReadModel.apply` ignores records at or below ``applied_lsn`` so
-overlapping replays (checkpoint + suffix) are idempotent.
+overlapping replays (checkpoint + suffix) are idempotent.  A record
+whose fold raises leaves the model as it was.
 """
 
 from __future__ import annotations
 
 import base64
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Sequence, Tuple
 
 from repro.core.cognition import COGNITIVE_LEVELS
-from repro.core.columnar import SKIP, LiveCohortAnalysis
+from repro.core.columnar import LiveCohortAnalysis
 from repro.core.errors import NotFoundError, StoreError
-from repro.core.question_analysis import CohortAnalysis, ExamineeResponses
+from repro.core.question_analysis import CohortAnalysis
+from repro.delivery.scoring import DISTRIBUTION_BUCKETS, ExamCohort
+from repro.delivery.scoring import score_responses
 from repro.store.events import event_timestamp
 from repro.store.journal import JournalRecord
 
@@ -48,49 +48,25 @@ __all__ = ["ReadModel", "ExamReadModel", "SNAPSHOT_FORMAT", "merge_summaries"]
 #: on-disk snapshot format tag (see :mod:`repro.readmodel.checkpoint`)
 SNAPSHOT_FORMAT = "mine-readmodel-v1"
 
-#: score-distribution decades: [0,10) .. [90,100) plus the exact-100 bucket
-DISTRIBUTION_BUCKETS = 11
 
-
-def _bucket(percent: float) -> int:
-    return min(int(percent // 10), DISTRIBUTION_BUCKETS - 1)
+def _per_level(tagged) -> Counter:
+    """How many of ``tagged`` (items or specs) carry each Bloom level."""
+    return Counter(
+        t.cognition_level.letter for t in tagged if t.cognition_level is not None
+    )
 
 
 class ExamReadModel:
-    """All per-offering aggregates, folded one submit at a time."""
+    """One offering: its cohort fold plus what only the read model serves."""
 
     def __init__(self, exam) -> None:
         self.exam = exam
-        self.items = list(exam.items)
-        self.analyzable = exam.analyzable_items()
-        self.specs = tuple(exam.question_specs())
-        #: mirrors the LMS: no live analysis for exams without choice items
-        self.live: Optional[LiveCohortAnalysis] = (
-            LiveCohortAnalysis(self.specs) if self.specs else None
-        )
+        self.cohort = ExamCohort(exam)
         self.enrolled: set = set()
         self.submits = 0
-        #: latest sitting's graded percent per learner (re-sit overwrites)
-        self.percents: Dict[str, float] = {}
-        self.buckets: List[int] = [0] * DISTRIBUTION_BUCKETS
-        #: latest sitting's per-level correct counts per learner
-        self.level_correct: Dict[str, Dict[str, int]] = {}
-        self._level_totals: Dict[str, int] = {
-            level.letter: 0 for level in COGNITIVE_LEVELS
-        }
         #: static blueprint shape, computed once at offer time
-        self._level_questions: Dict[str, int] = {
-            level.letter: 0 for level in COGNITIVE_LEVELS
-        }
-        self._level_analyzable: Dict[str, int] = {
-            level.letter: 0 for level in COGNITIVE_LEVELS
-        }
-        for item in self.items:
-            if item.cognition_level is not None:
-                self._level_questions[item.cognition_level.letter] += 1
-        for spec in self.specs:
-            if spec.cognition_level is not None:
-                self._level_analyzable[spec.cognition_level.letter] += 1
+        self._level_questions = _per_level(exam.items)
+        self._level_analyzable = _per_level(self.cohort.specs)
         self._spec_table = self._build_spec_table()
 
     def _build_spec_table(self) -> Dict[str, object]:
@@ -113,71 +89,21 @@ class ExamReadModel:
             ],
         }
 
-    # -- folding -------------------------------------------------------------
-
-    def fold_submit(self, learner_id: str, answers: Dict[str, object]) -> None:
-        """One graded sitting, from the sitting's final answer map.
-
-        ``answers`` maps item id -> the raw wire response (latest write
-        wins, exactly as :class:`~repro.delivery.session.ExamSession`
-        keeps them); grading runs the items' own ``score`` methods, the
-        same code path :func:`~repro.delivery.scoring.grade_session`
-        uses, so percent and selections match the live grade bit for
-        bit.
-        """
-        self.submits += 1
-        total = 0.0
-        maximum = 0.0
-        scores = {}
-        for item in self.items:
-            scored = item.score(answers.get(item.item_id))
-            scores[item.item_id] = scored
-            total += scored.points
-            maximum += scored.max_points
-        percent = (total / maximum * 100.0) if maximum else 0.0
-        previous = self.percents.pop(learner_id, None)
-        if previous is not None:
-            self.buckets[_bucket(previous)] -= 1
-        self.percents[learner_id] = percent
-        self.buckets[_bucket(percent)] += 1
-        if self.live is not None:
-            # the live-LMS submit sequence, verbatim: drop any earlier
-            # sitting by this learner, then fold the regraded one
-            selections = [
-                scores[item.item_id].selected for item in self.analyzable
-            ]
-            self.live.invalidate(learner_id)
-            self.live.add_sitting(ExamineeResponses.of(learner_id, selections))
-        vector: Dict[str, int] = {}
-        for spec, item in zip(self.specs, self.analyzable):
-            if spec.cognition_level is None:
-                continue
-            if scores[item.item_id].selected == spec.correct:
-                letter = spec.cognition_level.letter
-                vector[letter] = vector.get(letter, 0) + 1
-        old = self.level_correct.pop(learner_id, None)
-        if old:
-            for letter, count in old.items():
-                self._level_totals[letter] -= count
-        self.level_correct[learner_id] = vector
-        for letter, count in vector.items():
-            self._level_totals[letter] += count
-
     # -- views ---------------------------------------------------------------
 
     def distribution(self) -> Dict[str, object]:
         """The score distribution over the cohort's latest sittings."""
-        values = self.percents.values()
+        percents = self.cohort.percents
         return {
-            "count": len(self.percents),
-            "buckets": list(self.buckets),
-            "min": min(values) if self.percents else None,
-            "max": max(values) if self.percents else None,
+            "count": len(percents),
+            "buckets": list(self.cohort.buckets),
+            "min": min(percents.values()) if percents else None,
+            "max": max(percents.values()) if percents else None,
         }
 
     def blueprint(self) -> Dict[str, object]:
         """The Bloom-level rollup: exam shape × cohort correctness."""
-        cohort = len(self.percents)
+        cohort = len(self.cohort.percents)
         levels = []
         for level in COGNITIVE_LEVELS:
             letter = level.letter
@@ -189,7 +115,7 @@ class ExamReadModel:
                     "questions": self._level_questions[letter],
                     "analyzable": analyzable,
                     "attempts": analyzable * cohort,
-                    "correct": self._level_totals[letter],
+                    "correct": self.cohort.level_totals[letter],
                 }
             )
         return {
@@ -205,27 +131,16 @@ class ExamReadModel:
         return dict(self._spec_table)
 
     def analysis(self) -> CohortAnalysis:
-        """The current cohort's §4.1 analysis (cached in the live engine)."""
-        if self.live is None:
-            raise NotFoundError(
-                f"exam {self.exam.exam_id!r} has no analyzable questions"
-            )
-        return self.live.analysis()
-
-    def partial(self) -> Dict[str, object]:
-        """This model's cohort as a scatter-gather partial."""
-        if self.live is None:
-            raise NotFoundError(
-                f"exam {self.exam.exam_id!r} has no analyzable questions"
-            )
-        return self.live.export_partial()
+        """The current cohort's §4.1 analysis (the engine's error when no
+        cohort matrix holds this exam)."""
+        return self.cohort.analysis()
 
     def summary(self) -> Dict[str, object]:
         return {
             "exam_id": self.exam.exam_id,
             "title": self.exam.title,
-            "questions": len(self.items),
-            "analyzable": len(self.analyzable),
+            "questions": len(self.exam.items),
+            "analyzable": len(self.cohort.specs),
             "enrolled": len(self.enrolled),
             "submits": self.submits,
             "distribution": self.distribution(),
@@ -305,12 +220,14 @@ class ReadModel:
             for item_id, response in data["answers"]:
                 answers[item_id] = response
         elif type_ == "submit":
-            learner_id = data["learner_id"]
-            exam_id = data["exam_id"]
-            answers = self.pending.pop((learner_id, exam_id), {})
+            learner_id, exam_id = data["learner_id"], data["exam_id"]
             model = self.exams.get(exam_id)
             if model is not None:
-                model.fold_submit(learner_id, answers)
+                answers = self.pending.get((learner_id, exam_id), {})
+                scores = score_responses(model.exam, answers.get)
+                model.cohort.fold(learner_id, scores)
+                model.submits += 1
+            self.pending.pop((learner_id, exam_id), None)
         elif type_ in ("suspend", "resume", "monitor", "calibrate"):
             # lifecycle-only: counted in the per-type totals.  A
             # calibrate swap changes *selection* parameters, not the
@@ -368,16 +285,16 @@ class ReadModel:
             exams[exam_id] = {
                 "record": exam_to_record(model.exam),
                 "partial": (
-                    model.live.export_partial()
-                    if model.live is not None
+                    model.cohort.live.export_partial()
+                    if model.cohort.live is not None
                     else None
                 ),
                 "enrolled": sorted(model.enrolled),
                 "submits": model.submits,
-                "percents": dict(model.percents),
+                "percents": dict(model.cohort.percents),
                 "level_correct": {
                     learner: dict(vector)
-                    for learner, vector in model.level_correct.items()
+                    for learner, vector in model.cohort.level_correct.items()
                 },
             }
         return {
@@ -419,17 +336,18 @@ class ReadModel:
             exam_model = ExamReadModel(exam_from_record(state["record"]))
             exam_model.enrolled = set(state.get("enrolled", ()))
             exam_model.submits = int(state.get("submits", 0))
+            cohort = exam_model.cohort
+            levels = state.get("level_correct", {})
             for learner, percent in state.get("percents", {}).items():
-                exam_model.percents[learner] = float(percent)
-                exam_model.buckets[_bucket(float(percent))] += 1
-            for learner, vector in state.get("level_correct", {}).items():
-                counts = {str(k): int(v) for k, v in vector.items()}
-                exam_model.level_correct[learner] = counts
-                for letter, count in counts.items():
-                    exam_model._level_totals[letter] += count
+                vector = levels.get(learner, {})
+                cohort.set_latest(
+                    learner,
+                    float(percent),
+                    {str(k): int(v) for k, v in vector.items()},
+                )
             partial = state.get("partial")
-            if exam_model.live is not None and partial is not None:
-                _restore_matrix(exam_model.live, exam_model.specs, partial)
+            if cohort.live is not None and partial is not None:
+                _restore_matrix(cohort.live, cohort.specs, partial)
             model.exams[exam_id] = exam_model
         return model
 
@@ -442,27 +360,14 @@ def _restore_matrix(
     Unlike :func:`~repro.core.columnar.merge_partials` this must NOT
     canonical-sort: a single shard's row order (submission order) is the
     tie-break order for extreme-group boundaries, and restore has to
-    reproduce the snapshotted model exactly.
+    reproduce the snapshotted model exactly.  The fold only ever codes
+    the exam's own option labels, so the codes are adopted as written.
     """
+    if partial["labels"] != [list(spec.options) for spec in specs]:
+        raise StoreError("read-model snapshot codes labels outside the exam")
     ids = [str(identifier) for identifier in partial["examinee_ids"]]
-    codes = base64.b64decode(partial["codes_b64"])
-    labels = [list(per_question) for per_question in partial["labels"]]
-    if labels == [list(spec.options) for spec in specs]:
-        if ids:
-            live.extend_codes(ids, codes)
-        return
-    width = len(specs)
-    for index, examinee_id in enumerate(ids):
-        row = codes[index * width : (index + 1) * width]
-        selections: List[Optional[str]] = [
-            None if code == SKIP else labels[question][code]
-            for question, code in enumerate(row)
-        ]
-        live.add_sitting(
-            ExamineeResponses(
-                examinee_id=examinee_id, selections=tuple(selections)
-            )
-        )
+    if ids:
+        live.extend_codes(ids, base64.b64decode(partial["codes_b64"]))
 
 
 def merge_summaries(

@@ -94,8 +94,9 @@ class ReadModelService:
         while not self._stop.is_set():
             try:
                 self.sync()
-            except StoreError:
-                # surfaced to queries via sync(); the thread keeps going
+            except Exception:
+                # surfaced to queries via sync(), which retries from the
+                # failed record; the thread keeps going
                 obs.count("readmodel.follower.errors")
             self._stop.wait(self.poll_interval)
 
@@ -114,6 +115,8 @@ class ReadModelService:
 
         Cheap at the tip (one directory listing + an EOF read), so
         handlers call it per-request for read-your-writes semantics.
+        When a record's fold raises, the tailer is placed back after the
+        last applied record, so the next sync retries it, then re-raises.
         """
         with self.lock:
             try:
@@ -121,7 +124,11 @@ class ReadModelService:
             except TailTruncatedError:
                 self._restart_from_checkpoint()
                 records = self._tailer.poll()
-            applied = self.model.apply_all(records)
+            try:
+                applied = self.model.apply_all(records)
+            except Exception:
+                self._tailer.seek(self.model.applied_lsn)
+                raise
         if applied:
             obs.count("readmodel.events.applied", applied)
         return applied
@@ -131,11 +138,7 @@ class ReadModelService:
         self.restarts += 1
         obs.count("readmodel.follower.restarts")
         self.model = self._resume()
-        self._tailer = JournalTailer(
-            self.directory,
-            start_lsn=self.model.applied_lsn,
-            poll_interval=self.poll_interval,
-        )
+        self._tailer.seek(self.model.applied_lsn)
 
     def checkpoint(self) -> Path:
         """Sync to the tip, then persist the fold state."""

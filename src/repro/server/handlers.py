@@ -351,22 +351,28 @@ def _results_local(ctx: ServerContext, params, body, query):
     }
 
 
+def _gathered_analysis(ctx: ServerContext, exam, partial, path: str):
+    """Scatter-gather: merge this shard's cohort partial with every
+    peer's (from ``path``); the merge (canonical learner order) analyzes
+    bit-identically to a single process that held the whole cohort."""
+    from repro.core.columnar import merge_partials
+
+    partials = [partial] + ctx.cluster.gather(path)
+    return analysis_to_dict(
+        merge_partials(exam.question_specs(), partials).analyze()
+    )
+
+
 def _analysis(ctx: ServerContext, params, body, query):
     exam_id = params["exam_id"]
     if ctx.cluster is None:
         return analysis_to_dict(ctx.lms.live_analysis(exam_id))
-    # scatter-gather: every shard exports its warm columnar partial;
-    # the merge (canonical learner order) analyzes bit-identically to a
-    # single process that held the whole cohort
-    from repro.core.columnar import merge_partials
-
-    exam = ctx.lms.exam(exam_id)
-    partials = [ctx.lms.analysis_partial(exam_id)]
-    partials.extend(
-        ctx.cluster.gather(f"/internal/exams/{exam_id}/analysis:partial")
+    return _gathered_analysis(
+        ctx,
+        ctx.lms.exam(exam_id),
+        ctx.lms.analysis_partial(exam_id),
+        f"/internal/exams/{exam_id}/analysis:partial",
     )
-    matrix = merge_partials(exam.question_specs(), partials)
-    return analysis_to_dict(matrix.analyze())
 
 
 def _analysis_partial(ctx: ServerContext, params, body, query):
@@ -582,33 +588,27 @@ def _analytics_analysis(ctx: ServerContext, params, body, query):
         model, as_of_info = _readmodel_at(service, lsn, ts)
         with service.lock:
             payload = analysis_to_dict(model.exam(exam_id).analysis())
-        if as_of_info is not None:
-            return {"as_of": as_of_info, "analysis": payload}
-        return payload
-    if lsn is not None:
-        raise ApiError(
-            400,
-            "bad_request",
-            "as_of_lsn is a per-shard coordinate; use as_of_ts "
-            "against a cluster",
+    else:
+        if lsn is not None:
+            raise ApiError(
+                400,
+                "bad_request",
+                "as_of_lsn is a per-shard coordinate; use as_of_ts "
+                "against a cluster",
+            )
+        model, as_of_info = _readmodel_at(service, None, ts)
+        with service.lock:
+            exam_model = model.exam(exam_id)
+            partial = exam_model.cohort.partial()
+        # urlencode, not an f-string: a float's repr can carry '+'
+        # (1e+18), which would decode to a space on the receiving shard
+        suffix = "?" + urlencode({"as_of_ts": ts}) if ts is not None else ""
+        payload = _gathered_analysis(
+            ctx,
+            exam_model.exam,
+            partial,
+            f"/internal/admin/analytics/{exam_id}/analysis:partial{suffix}",
         )
-    from repro.core.columnar import merge_partials
-
-    model, as_of_info = _readmodel_at(service, None, ts)
-    with service.lock:
-        exam_model = model.exam(exam_id)
-        exam = exam_model.exam
-        partials = [exam_model.partial()]
-    # urlencode, not an f-string: a float's repr can carry '+' (1e+18),
-    # which would decode to a space on the receiving shard
-    suffix = "?" + urlencode({"as_of_ts": ts}) if ts is not None else ""
-    partials.extend(
-        ctx.cluster.gather(
-            f"/internal/admin/analytics/{exam_id}/analysis:partial{suffix}"
-        )
-    )
-    matrix = merge_partials(exam.question_specs(), partials)
-    payload = analysis_to_dict(matrix.analyze())
     if as_of_info is not None:
         return {"as_of": as_of_info, "analysis": payload}
     return payload
@@ -620,7 +620,7 @@ def _analytics_partial(ctx: ServerContext, params, body, query):
     lsn, ts = _as_of_target(query)
     model, _ = _readmodel_at(service, lsn, ts)
     with service.lock:
-        return model.exam(params["exam_id"]).partial()
+        return model.exam(params["exam_id"]).cohort.partial()
 
 
 def _analytics_blueprint(ctx: ServerContext, params, body, query):

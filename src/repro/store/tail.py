@@ -133,6 +133,12 @@ class JournalTailer:
 
     # -- positioning ----------------------------------------------------------
 
+    def seek(self, lsn: int) -> None:
+        """Re-position so the next record yielded is the first with
+        ``lsn`` above this one; the lifetime totals carry on."""
+        self._lsn = int(lsn)
+        self._segment = None
+
     def _locate(self) -> bool:
         """Pick the segment holding ``lsn + 1`` by filename binary
         search; False when the directory has no segments yet."""

@@ -1,11 +1,12 @@
 """Property-based QTI round-trip tests over generated items."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cognition import CognitionLevel
 from repro.items.choice import MultipleChoiceItem
-from repro.items.completion import CompletionItem
+from repro.items.completion import BLANK_MARKER, CompletionItem
 from repro.items.matching import MatchItem
 from repro.items.qti import item_from_qti_xml, item_to_qti_xml
 from repro.items.truefalse import TrueFalseItem
@@ -64,15 +65,13 @@ def match_items(draw):
 
 @st.composite
 def completion_items(draw):
-    blank_count = draw(st.integers(min_value=1, max_value=4))
-    stem_parts = draw(
-        st.lists(_safe_text, min_size=blank_count + 1,
-                 max_size=blank_count + 1)
-    )
-    question = "___".join(stem_parts)
+    stem_parts = draw(st.lists(_safe_text, min_size=2, max_size=5))
+    question = BLANK_MARKER.join(stem_parts)
+    # a part that starts or ends with "_" (or holds the marker) adds
+    # blanks, so draw one answer list per blank of the joined stem
     accepted = [
         draw(st.lists(_safe_text, min_size=1, max_size=3, unique=True))
-        for _ in range(blank_count)
+        for _ in range(question.count(BLANK_MARKER))
     ]
     item = CompletionItem(
         item_id=draw(_identifier),
@@ -105,6 +104,23 @@ class TestQtiRoundTripProperties:
     @settings(max_examples=40, deadline=None)
     @given(item=completion_items())
     def test_completion_round_trip(self, item):
+        restored = item_from_qti_xml(item_to_qti_xml(item))
+        assert restored.content_fields() == item.content_fields()
+
+    @pytest.mark.parametrize(
+        "question, blanks",
+        [("a______b", 2), ("a_____b", 1), ("_______", 2), ("x___y___", 2)],
+    )
+    def test_completion_round_trip_with_runs_of_underscores(
+        self, question, blanks
+    ):
+        item = CompletionItem(
+            item_id="runs",
+            question=question,
+            accepted_answers=[[f"answer {n}"] for n in range(blanks)],
+        )
+        item.validate()
+        assert item.blank_count == blanks
         restored = item_from_qti_xml(item_to_qti_xml(item))
         assert restored.content_fields() == item.content_fields()
 

@@ -355,6 +355,28 @@ class TestAnalysisIntegration:
         assert warm.scores["s01"] == 2
         assert len(warm.scores) == 12  # s01 still counted once
 
+    @pytest.mark.parametrize("warm_before", [False, True])
+    def test_live_analysis_survives_withdraw_and_reoffer(self, warm_before):
+        from repro.lms.admin import Administrator
+
+        clock = ManualClock()
+        lms = Lms(clock=clock)
+        lms.offer_exam(two_question_exam())
+        self._run_cohort(lms, clock)
+        lms.start_exam("s01", "ex1")  # a re-sit, latest sitting wins
+        lms.answer("s01", "ex1", "q1", "A")
+        lms.submit("s01", "ex1")
+        if warm_before:
+            lms.live_analysis("ex1")
+        Administrator(lms).withdraw_exam("ex1")
+        lms.offer_exam(two_question_exam())
+        # the re-offered exam analyses the results it was withdrawn with
+        assert lms.live_analysis("ex1") == lms.analyze_exam("ex1")
+        self._run_cohort(lms, clock, count=4, start=12)
+        warm = lms.live_analysis("ex1")
+        assert warm == lms.analyze_exam("ex1")
+        assert len(warm.scores) == 16
+
     def test_report_for_exam(self):
         clock = ManualClock()
         lms = Lms(clock=clock)

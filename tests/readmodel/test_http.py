@@ -12,6 +12,9 @@ import json
 import pytest
 
 from repro.bank.exambank import exam_to_record
+from repro.exams.authoring import ExamBuilder
+from repro.items.choice import MultipleChoiceItem
+from repro.items.essay import EssayItem
 from repro.server.app import ExamServer
 from repro.sim.workloads import classroom_exam
 
@@ -208,3 +211,123 @@ class TestDisabled:
     def test_readmodel_without_wal_rejected(self):
         with pytest.raises(ValueError, match="wal_dir"):
             ExamServer(port=0, readmodel=True)
+
+
+WIDE_EXAM = "wide-quiz"  # more options than the cohort matrix can code
+ESSAY_EXAM = "essay-only"  # no choice item, so no cohort matrix
+NO_MATRIX_SITTERS = 8
+
+
+def no_matrix_exams():
+    labels = [f"L{n:03d}" for n in range(300)]
+    wide = (
+        ExamBuilder(WIDE_EXAM, "Wide Quiz")
+        .add_item(
+            MultipleChoiceItem.build(
+                "wide", "Pick one.", labels, correct_index=0, labels=labels
+            )
+        )
+        .time_limit(600)
+        .build()
+    )
+    essay = (
+        ExamBuilder(ESSAY_EXAM, "Essay Only")
+        .add_item(EssayItem(item_id="e1", question="Discuss.", max_points=5.0))
+        .time_limit(600)
+        .build()
+    )
+    return wide, essay
+
+
+@pytest.fixture(scope="module")
+def no_matrix_server(tmp_path_factory):
+    """The wide exam is offered first: its offer is the first record
+    the read model folds, before the classroom exam and its cohort."""
+    wal_dir = tmp_path_factory.mktemp("wal-no-matrix")
+    with ExamServer(port=0, wal_dir=wal_dir, readmodel=True) as srv:
+        client = Client(srv)
+        wide, essay = no_matrix_exams()
+        for exam in (wide, essay, classroom_exam(5)):
+            status, _ = client.post("/exams", body=exam_to_record(exam))
+            assert status == 201
+        answers = {
+            WIDE_EXAM: ("wide", lambda n: f"L{n * 7:03d}"),
+            ESSAY_EXAM: ("e1", lambda n: f"essay {n}"),
+            EXAM_ID: ("q01", lambda n: "ABCDE"[n % 5]),
+        }
+        for n in range(NO_MATRIX_SITTERS):
+            learner_id = f"w{n}"
+            client.post(
+                "/learners", body={"learner_id": learner_id, "name": learner_id}
+            )
+            for exam_id, (item_id, response) in answers.items():
+                base = f"/exams/{exam_id}/sittings/{learner_id}"
+                client.post(
+                    f"/exams/{exam_id}/enrollments",
+                    body={"learner_id": learner_id},
+                )
+                client.post(f"{base}/start")
+                status, _ = client.post(
+                    f"{base}/answer",
+                    body={"item_id": item_id, "response": response(n)},
+                )
+                assert status == 200
+                status, _ = client.post(f"{base}/submit")
+                assert status == 200
+        client.close()
+        yield srv
+
+
+@pytest.fixture
+def no_matrix_client(no_matrix_server):
+    c = Client(no_matrix_server)
+    yield c
+    c.close()
+
+
+class TestExamsWithoutAMatrix:
+    def test_an_unholdable_exam_does_not_stall_the_follower(
+        self, no_matrix_client
+    ):
+        status, overview = no_matrix_client.get("/admin/analytics")
+        assert status == 200
+        assert overview["follower"]["lag"] == 0
+        assert overview["applied_lsn"] == overview["follower"]["journal_lsn"]
+        assert [entry["exam_id"] for entry in overview["exams"]] == sorted(
+            [EXAM_ID, ESSAY_EXAM, WIDE_EXAM]
+        )
+        status, summary = no_matrix_client.get(
+            f"/admin/analytics/exams/{EXAM_ID}"
+        )
+        assert status == 200
+        assert summary["submits"] == NO_MATRIX_SITTERS
+        status, admin = no_matrix_client.get(
+            f"/admin/analytics/exams/{EXAM_ID}/analysis"
+        )
+        _, serving = no_matrix_client.get(f"/exams/{EXAM_ID}/analysis")
+        assert status == 200
+        assert json.dumps(admin, sort_keys=True) == json.dumps(
+            serving, sort_keys=True
+        )
+
+    @pytest.mark.parametrize("exam_id", [WIDE_EXAM, ESSAY_EXAM])
+    def test_both_analysis_routes_answer_422_alike(
+        self, no_matrix_client, exam_id
+    ):
+        serving = no_matrix_client.get(f"/exams/{exam_id}/analysis")
+        admin = no_matrix_client.get(
+            f"/admin/analytics/exams/{exam_id}/analysis"
+        )
+        assert serving[0] == 422
+        assert serving[1]["error"]["code"] == "unprocessable"
+        assert admin == serving
+
+    @pytest.mark.parametrize("exam_id", [WIDE_EXAM, ESSAY_EXAM])
+    def test_summary_counts_the_sittings(self, no_matrix_client, exam_id):
+        status, summary = no_matrix_client.get(
+            f"/admin/analytics/exams/{exam_id}"
+        )
+        assert status == 200
+        assert summary["submits"] == NO_MATRIX_SITTERS
+        assert summary["distribution"]["count"] == NO_MATRIX_SITTERS
+        assert summary["blueprint"]["cohort"] == NO_MATRIX_SITTERS

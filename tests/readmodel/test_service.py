@@ -2,9 +2,10 @@
 
 import json
 
+import pytest
 from conftest import journaled_lms, enroll_cohort
 
-from repro.readmodel import readmodel_files, rebuild, save_readmodel
+from repro.readmodel import ReadModel, readmodel_files, rebuild, save_readmodel
 from repro.readmodel.service import ReadModelService
 from repro.server.serialize import analysis_to_dict
 from repro.store import Journal
@@ -183,3 +184,84 @@ class TestResume:
         assert stale.model.applied_lsn == journal.last_lsn
         assert stale.model.exam("ex1").submits == 6
         journal.close()
+
+
+def as_json(value):
+    return json.dumps(value, sort_keys=True)
+
+
+def fail_first_enroll(monkeypatch):
+    """Make the fold raise once, on the first ``enroll`` it meets."""
+    fold = ReadModel._fold
+    failed = []
+
+    def flaky(self, type_, data):
+        if type_ == "enroll" and not failed:
+            failed.append(data["learner_id"])
+            raise RuntimeError("fold failed")
+        return fold(self, type_, data)
+
+    monkeypatch.setattr(ReadModel, "_fold", flaky)
+    return failed
+
+
+class TestFoldErrors:
+    def test_a_failed_record_is_retried_not_skipped(self, tmp_path, monkeypatch):
+        journal = Journal.open(tmp_path, fsync="never")
+        lms, clock = journaled_lms(journal)
+        enroll_cohort(lms, ["amy", "bob"])
+        sit(lms, clock, "amy")
+        journal.sync()
+        service = ReadModelService(tmp_path, journal=journal)
+        failed = fail_first_enroll(monkeypatch)
+        with pytest.raises(RuntimeError):
+            service.sync()
+        assert failed == ["amy"]
+        # the model stops before the failed record, untouched by it
+        assert service.model.applied_lsn < journal.last_lsn
+        assert service.model.exam("ex1").enrolled == set()
+        service.sync()
+        assert service.model.applied_lsn == journal.last_lsn
+        assert service.model.exam("ex1").enrolled == {"amy", "bob"}
+        assert as_json(service.model.snapshot()) == as_json(
+            rebuild(tmp_path).snapshot()
+        )
+        # the tailer's lifetime totals survive the re-positioning
+        assert service.info()["records_read"] > journal.last_lsn
+        journal.close()
+
+    def test_follower_thread_survives_any_fold_error(
+        self, tmp_path, monkeypatch
+    ):
+        import time
+
+        from repro import obs
+        from repro.obs import Registry
+
+        journal = Journal.open(tmp_path, fsync="never")
+        lms, clock = journaled_lms(journal)
+        enroll_cohort(lms, ["amy"])
+        sit(lms, clock, "amy")
+        journal.sync()
+        fail_first_enroll(monkeypatch)
+        registry = Registry(enabled=True)
+        previous = obs.set_registry(registry)
+        service = ReadModelService(
+            tmp_path, journal=journal, poll_interval=0.01
+        )
+        service.start()
+        try:
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                with service.lock:
+                    if service.model.applied_lsn == journal.last_lsn:
+                        break
+                time.sleep(0.01)
+            with service.lock:
+                assert service.model.applied_lsn == journal.last_lsn
+                assert service.model.exam("ex1").submits == 1
+            assert registry.counter("readmodel.follower.errors") == 1
+        finally:
+            service.close()
+            obs.set_registry(previous)
+            journal.close()

@@ -72,6 +72,21 @@ class TestPositioning:
                     f"boundary {boundary}, start {start}"
                 )
 
+    def test_seek_back_rereads_across_segments_and_keeps_totals(
+        self, tmp_path, fmt
+    ):
+        with Journal.open(
+            tmp_path, fsync="never", format=fmt, segment_bytes=256
+        ) as journal:
+            append_n(journal, 40)
+        tailer = JournalTailer(tmp_path)
+        assert drain(tailer) == list(range(1, 41))
+        for lsn in (39, 13, 0):
+            tailer.seek(lsn)
+            assert drain(tailer) == list(range(lsn + 1, 41)), lsn
+        assert tailer.records_read == 40 + 1 + 27 + 40
+        assert tailer.polls == 4
+
     def test_empty_directory_is_quiet_not_an_error(self, tmp_path):
         tailer = JournalTailer(tmp_path / "nothing-yet")
         assert drain(tailer) == []
