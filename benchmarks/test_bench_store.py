@@ -12,9 +12,14 @@ Five measurements, written to ``BENCH_store.json``:
   writers into shared flushes.  The acceptance targets from the batch
   milestone: **batched always-fsync appends >= 3x the single-record
   rate**, and it must never regress below the *v1 JSONL* single-record
-  number (the pre-batch baseline);
-* **wire formats**: binary v2 vs JSONL v1 append rate and bytes per
-  record — v2 must be strictly smaller on disk;
+  number (the pre-batch baseline).  No build writes v1 any more, so
+  that number is the golden v1 WAL's lines (``tests/store/golden_v1``)
+  written one per write with a flush and an fsync, as the v1 writer
+  did, minus its encoding;
+* **wire formats**: bytes per record of the golden v1 WAL against the
+  same records appended as binary — binary must be strictly smaller on
+  disk — with the binary append rate, and the rate of writing the v1
+  lines as they are (no encoding, so not comparable with it);
 * **replay throughput**: records/second through ``recover()``, which
   re-executes real LMS mutators (sessions, SCORM API, monitor) rather
   than patching dicts — replay is expected to cost roughly what the
@@ -31,15 +36,19 @@ import json
 import os
 import threading
 import time
+from pathlib import Path
 
 from repro.server.app import ExamServer
 from repro.server.loadgen import run_loadgen
-from repro.store import Journal, recover, segment_files
+from repro.store import Journal, read_records, recover, segment_files
 from repro.store.events import answer_event
 
 from conftest import show
 
 ARTIFACT = os.path.join(os.path.dirname(__file__), "..", "BENCH_store.json")
+GOLDEN_V1_WAL = (
+    Path(__file__).resolve().parent.parent / "tests/store/golden_v1/wal"
+)
 
 #: the acceptance bar (docs/durability.md) and the looser CI tripwire
 TARGET_OVERHEAD_RATIO = 0.85
@@ -65,14 +74,35 @@ def sample_event(index):
     )
 
 
-def append_run(directory, policy, count, format=2):
-    with Journal.open(directory, fsync=policy, format=format) as journal:
+def append_run(directory, policy, count, events=None):
+    """``count`` appends of ``events`` (cycled; sample answers when
+    None); returns records/s, seconds and bytes on disk."""
+    with Journal.open(directory, fsync=policy) as journal:
         start = time.perf_counter()
         for index in range(count):
-            journal.append("answer", sample_event(index))
+            if events is None:
+                journal.append("answer", sample_event(index))
+            else:
+                journal.append(*events[index % len(events)])
         elapsed = time.perf_counter() - start
         size = sum(p.stat().st_size for p in segment_files(directory))
     return count / elapsed, elapsed, size
+
+
+def v1_write_run(directory, lines, count, fsync):
+    """``count`` v1 lines (``lines`` cycled), one per write with a
+    flush, and an fsync after each when ``fsync``: the v1 writer's
+    path without its encoding; returns records/s."""
+    directory.mkdir(parents=True)
+    with (directory / "wal-00000000000000000001.jsonl").open("xb") as stream:
+        start = time.perf_counter()
+        for index in range(count):
+            stream.write(lines[index % len(lines)])
+            stream.flush()
+            if fsync:
+                os.fsync(stream.fileno())
+        elapsed = time.perf_counter() - start
+    return count / elapsed
 
 
 def batch_append_run(directory, batches, k):
@@ -173,10 +203,19 @@ def test_bench_store(benchmark, tmp_path):
             "records_per_second": round(rps, 1),
         }
 
+    # -- the golden v1 WAL: its lines, and the records they hold ---------
+    v1_lines = [
+        line
+        for segment in segment_files(GOLDEN_V1_WAL)
+        for line in segment.read_bytes().splitlines(keepends=True)
+    ]
+    v1_records = [(r.type, r.data) for r in read_records(GOLDEN_V1_WAL)]
+    assert len(v1_lines) == len(v1_records)
+
     # -- batched ingestion + group commit under always-fsync --------------
     single_always_rps = append["always"]["records_per_second"]
-    v1_always_rps, _, _ = append_run(
-        tmp_path / "wal-always-v1", "always", 300, format=1
+    v1_always_rps = v1_write_run(
+        tmp_path / "wal-always-v1", v1_lines, 300, fsync=True
     )
     batched_rps, batched_elapsed, batched_fsyncs = batch_append_run(
         tmp_path / "wal-batch", batches=300, k=BATCH_K
@@ -206,16 +245,31 @@ def test_bench_store(benchmark, tmp_path):
         "group_commit_speedup": round(gc_rps / plain_mt_rps, 2),
     }
 
-    # -- wire formats: binary v2 vs JSONL v1 ------------------------------
-    formats = {}
-    for fmt in (1, 2):
-        rps, _, size = append_run(
-            tmp_path / f"wal-fmt{fmt}", "never", 5000, format=fmt
-        )
-        formats[f"v{fmt}"] = {
-            "records_per_second": round(rps, 1),
-            "bytes_per_record": round(size / 5000, 1),
-        }
+    # -- wire formats: binary vs JSONL v1, on the golden v1 records -------
+    v2_rps, _, _ = append_run(
+        tmp_path / "wal-fmt2", "never", 5000, events=v1_records
+    )
+    _, _, v2_size = append_run(
+        tmp_path / "wal-fmt2-once", "never", len(v1_records),
+        events=v1_records,
+    )
+    v1_size = sum(len(line) for line in v1_lines)
+    formats = {
+        "records": len(v1_records),
+        "v1": {
+            "write_only_records_per_second": round(
+                v1_write_run(
+                    tmp_path / "wal-fmt1", v1_lines, 5000, fsync=False
+                ),
+                1,
+            ),
+            "bytes_per_record": round(v1_size / len(v1_records), 1),
+        },
+        "v2": {
+            "records_per_second": round(v2_rps, 1),
+            "bytes_per_record": round(v2_size / len(v1_records), 1),
+        },
+    }
 
     # pytest-benchmark timing of the hot path: one buffered append
     journal = Journal.open(tmp_path / "wal-hot", fsync="interval")

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.errors import (
@@ -160,11 +160,6 @@ class Lms:
         self._results: Dict[str, List[GradedSitting]] = {}
         #: per exam: the cohort aggregates every submit folds into
         self._cohorts: Dict[str, ExamCohort] = {}
-        #: while a batch mutator is in flight on a thread, _emit collects
-        #: that thread's events here so the whole batch lands in one
-        #: Journal.append_batch call (thread-local: concurrent batches on
-        #: different sittings must not interleave their buffers)
-        self._batch_state = threading.local()
 
     # -- durability ---------------------------------------------------------------
 
@@ -182,21 +177,15 @@ class Lms:
 
         Called after the mutation succeeded, while still holding the
         locks that serialized it, so per-sitting LSN order is the
-        authoritative serialization of that sitting's history.  While a
-        batch mutator is in flight on this thread the event is buffered
-        instead, and the whole buffer goes to the journal as one
-        :meth:`~repro.store.journal.Journal.append_batch`.  Submits go
-        through :meth:`_write_submit` instead.
+        authoritative serialization of that sitting's history.  Submits
+        go through :meth:`_write_submit` instead.
         """
-        buffer = getattr(self._batch_state, "buffer", None)
-        if buffer is not None:
-            buffer.append((type_, data))
-        elif self.journal is not None:
+        if self.journal is not None:
             self.journal.append(type_, data)
 
-    def _write_submit(self, data: Dict[str, object]) -> int:
-        """Write a ``submit`` event, after this thread's buffered batch,
-        to the journal now; returns its LSN (0 without a journal).
+    def _write_submit(self, events: List[Tuple[str, dict]]) -> int:
+        """Write ``events``, which end with a ``submit``, to the journal
+        now as one write; returns the last LSN (0 without a journal).
 
         Called under ``_commit_lock``, so the log holds submits in the
         order they joined ``_results``.  The caller passes the LSN to
@@ -204,11 +193,6 @@ class Lms:
         lock, so under group commit no reader of the results waits on a
         disk flush.
         """
-        events = [("submit", data)]
-        buffer = getattr(self._batch_state, "buffer", None)
-        if buffer is not None:
-            events = buffer + events
-            del buffer[:]
         if self.journal is None:
             return 0
         return self.journal.write(events)
@@ -640,42 +624,36 @@ class Lms:
             # the validated inputs and the single timestamp, so it cannot
             # fail partway: the batch is all-or-nothing.
             scored: List[ScoredResponse] = []
-            self._batch_state.buffer = buffer = []
-            try:
-                for item_id, response in pairs:
-                    session.answer(item_id, response, now)
-                    item = session.exam.item(item_id)
-                    one = item.score(response)
-                    self._cmi_record_answer(sitting, item.item_id, item, one)
-                    self.tracking.record(
-                        EventKind.ANSWERED,
-                        learner_id,
-                        exam_id,
-                        now,
-                        detail=item.item_id,
-                    )
-                    self.monitor.poll(
-                        learner_id, exam_id, session.elapsed_seconds(now)
-                    )
-                    scored.append(one)
-                buffer.append(
-                    (
-                        "answers",
-                        store_events.answer_batch_event(
-                            learner_id, exam_id, pairs, now
-                        ),
-                    )
+            for item_id, response in pairs:
+                session.answer(item_id, response, now)
+                item = session.exam.item(item_id)
+                one = item.score(response)
+                self._cmi_record_answer(sitting, item.item_id, item, one)
+                self.tracking.record(
+                    EventKind.ANSWERED,
+                    learner_id,
+                    exam_id,
+                    now,
+                    detail=item.item_id,
                 )
-                graded = None
-                if submit:
-                    # writes the buffer with its "submit" event
-                    graded = self._submit(learner_id, exam_id)
-            finally:
-                self._batch_state.buffer = None
-            # still under the sitting lock: the journal's LSN order for
-            # this sitting must match the order the batches applied
-            if self.journal is not None and buffer:
-                self.journal.append_batch(buffer)
+                self.monitor.poll(
+                    learner_id, exam_id, session.elapsed_seconds(now)
+                )
+                scored.append(one)
+            batch = (
+                "answers",
+                store_events.answer_batch_event(
+                    learner_id, exam_id, pairs, now
+                ),
+            )
+            graded = None
+            if submit:
+                # the answers ride in the submit's write
+                graded = self._submit(learner_id, exam_id, events=(batch,))
+            elif self.journal is not None:
+                # still under the sitting lock: the journal's LSN order
+                # for this sitting must match the order batches applied
+                self.journal.append_batch([batch])
         return scored, graded
 
     def _cmi_record_answer(
@@ -755,7 +733,14 @@ class Lms:
         obs.count("lms.sittings.submitted")
         return graded
 
-    def _submit(self, learner_id: str, exam_id: str) -> GradedSitting:
+    def _submit(
+        self,
+        learner_id: str,
+        exam_id: str,
+        events: Sequence[Tuple[str, dict]] = (),
+    ) -> GradedSitting:
+        """Submit and grade a sitting; ``events`` are journaled just
+        before its ``submit``, in the same write."""
         sitting = self.sitting(learner_id, exam_id)
         with sitting.lock:
             learner_id, exam_id = sitting.learner_id, sitting.exam_id
@@ -782,9 +767,10 @@ class Lms:
                     detail=f"{graded.percent:.1f}%",
                 )
                 self._cohorts[exam_id].fold(learner_id, graded.scores)
-                lsn = self._write_submit(
-                    store_events.lifecycle_event(learner_id, exam_id, now)
+                submitted = store_events.lifecycle_event(
+                    learner_id, exam_id, now
                 )
+                lsn = self._write_submit([*events, ("submit", submitted)])
             if lsn:
                 self.journal.commit(lsn)
         return graded

@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 from repro import obs
 from repro.core.errors import StoreError
 from repro.readmodel.model import ReadModel
-from repro.store.durable import write_durably
+from repro.store.durable import LsnFiles, write_durably
 from repro.store.events import event_timestamp
 from repro.store.journal import read_records, segment_files, segment_first_lsn
 
@@ -44,48 +44,19 @@ __all__ = [
     "as_of",
 ]
 
-_READMODEL_PREFIX = "readmodel-"
-_READMODEL_SUFFIX = ".json"
-
-
-def _readmodel_name(applied_lsn: int) -> str:
-    return f"{_READMODEL_PREFIX}{applied_lsn:020d}{_READMODEL_SUFFIX}"
-
-
-def _readmodel_lsn(path: Path) -> int:
-    stem = path.name[len(_READMODEL_PREFIX):-len(_READMODEL_SUFFIX)]
-    try:
-        return int(stem)
-    except ValueError:
-        raise StoreError(
-            f"not a read-model checkpoint name: {path.name}"
-        ) from None
+_READMODELS = LsnFiles("readmodel-", (".json",), "read-model checkpoint")
 
 
 def readmodel_files(directory: "str | Path") -> List[Path]:
     """Every read-model checkpoint in the directory, oldest first."""
-    base = Path(directory)
-    if not base.is_dir():
-        return []
-    found = [
-        path
-        for path in base.iterdir()
-        if path.name.startswith(_READMODEL_PREFIX)
-        and path.name.endswith(_READMODEL_SUFFIX)
-    ]
-    return sorted(found, key=_readmodel_lsn)
+    return _READMODELS.files(directory)
 
 
 def latest_readmodel_checkpoint(
     directory: "str | Path", at_or_below: Optional[int] = None
 ) -> Optional[Path]:
     """The newest checkpoint (optionally at or below an LSN), or None."""
-    best: Optional[Path] = None
-    for path in readmodel_files(directory):
-        if at_or_below is not None and _readmodel_lsn(path) > at_or_below:
-            break
-        best = path
-    return best
+    return _READMODELS.newest(directory, at_or_below)
 
 
 def save_readmodel(
@@ -104,10 +75,9 @@ def save_readmodel(
         raise StoreError(f"must keep at least 1 checkpoint, got {keep}")
     base = Path(directory)
     base.mkdir(parents=True, exist_ok=True)
-    path = base / _readmodel_name(model.applied_lsn)
+    path = base / _READMODELS.name(model.applied_lsn)
     write_durably(path, [json.dumps(model.snapshot(), separators=(",", ":"))])
-    for old in readmodel_files(base)[:-keep]:
-        old.unlink()
+    _READMODELS.prune(base, keep)
     obs.count("readmodel.checkpoints")
     return path
 
@@ -117,10 +87,11 @@ def load_readmodel(path: "str | Path") -> ReadModel:
     with Path(path).open("r", encoding="utf-8") as stream:
         document = json.load(stream)
     model = ReadModel.from_snapshot(document)
-    if model.applied_lsn != _readmodel_lsn(Path(path)):
+    named = _READMODELS.lsn(Path(path))
+    if model.applied_lsn != named:
         raise StoreError(
-            f"checkpoint {Path(path).name} claims lsn "
-            f"{_readmodel_lsn(Path(path))} but holds {model.applied_lsn}"
+            f"checkpoint {Path(path).name} claims lsn {named} but holds "
+            f"{model.applied_lsn}"
         )
     return model
 

@@ -48,18 +48,14 @@ class ReadModelService:
         directory: "str | Path",
         journal=None,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
-        checkpoint_keep: int = 2,
     ) -> None:
         self.directory = Path(directory)
         self.journal = journal
         self.poll_interval = float(poll_interval)
-        self.checkpoint_keep = int(checkpoint_keep)
         self.lock = threading.RLock()
         self.model = self._resume()
         self._tailer = JournalTailer(
-            self.directory,
-            start_lsn=self.model.applied_lsn,
-            poll_interval=self.poll_interval,
+            self.directory, start_lsn=self.model.applied_lsn
         )
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -144,9 +140,7 @@ class ReadModelService:
         """Sync to the tip, then persist the fold state."""
         with self.lock:
             self.sync()
-            path = save_readmodel(
-                self.model, self.directory, keep=self.checkpoint_keep
-            )
+            path = save_readmodel(self.model, self.directory)
             self.checkpoints_taken += 1
         return path
 

@@ -584,7 +584,6 @@ class ExamServer:
         return {
             "wal_dir": str(self.wal_dir),
             "fsync_policy": journal.fsync_policy,
-            "format": journal.format,
             "group_commit": journal.group_commit,
             "last_lsn": journal.last_lsn,
             "durable_lsn": journal.durable_lsn,

@@ -4,10 +4,13 @@ An append-only, checksummed write-ahead log plus a snapshot/compaction
 engine (see ``docs/durability.md``):
 
 * :class:`Journal` — segmented WAL with per-record CRC32 and monotonic
-  LSNs, configurable fsync policy, torn-tail repair, batched appends
-  with group commit, and two auto-detected wire formats (JSONL v1 and
-  the compact binary format of :mod:`repro.store.format`, whose LMS
-  events are schema-coded);
+  LSNs, configurable fsync policy, torn-tail repair, and batched
+  appends with group commit.  It writes one format, the compact binary
+  one of :mod:`repro.store.format` (LMS events schema-coded), and also
+  reads the JSONL v1 segments older builds wrote, sealing a v1 tail
+  and continuing in binary;
+* :class:`JournalTailer` — a poll reader that yields each record once,
+  in LSN order, from any LSN;
 * :mod:`repro.store.events` — one journaled event per LMS mutation,
   emitted under the LMS lock, replayed through the same public
   mutators;
@@ -26,7 +29,6 @@ from typing import TYPE_CHECKING
 
 _EXPORTS = {
     "FSYNC_POLICIES": ("repro.store.journal", "FSYNC_POLICIES"),
-    "JOURNAL_FORMATS": ("repro.store.journal", "JOURNAL_FORMATS"),
     "Journal": ("repro.store.journal", "Journal"),
     "JournalRecord": ("repro.store.journal", "JournalRecord"),
     "read_records": ("repro.store.journal", "read_records"),
@@ -80,7 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis eyes only
     from repro.store.events import EVENT_TYPES, apply_event  # noqa: F401
     from repro.store.journal import (  # noqa: F401
         FSYNC_POLICIES,
-        JOURNAL_FORMATS,
         Journal,
         JournalRecord,
         read_records,

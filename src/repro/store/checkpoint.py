@@ -39,10 +39,10 @@ raises :class:`~repro.core.errors.StoreError` naming the missing LSN
 range instead of silently dropping them.
 
 Compaction is wire-format agnostic: segments are retired by the LSN in
-their *name*, so after a mid-stream upgrade (JSONL v1 tail sealed,
-binary segments growing) the first checkpoint that covers the old
-v1 files retires them exactly as it would same-format ones — the
-natural path for aging a v1 directory out entirely.
+their *name*, so after a mid-stream upgrade (an old JSONL v1 tail
+sealed, binary segments growing) the first checkpoint that covers the
+v1 files retires them exactly as it would binary ones — the natural
+path for aging a v1 directory out entirely.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.core.errors import StoreError
+from repro.store.durable import LsnFiles
 
 __all__ = [
     "Checkpointer",
@@ -62,40 +63,17 @@ __all__ = [
     "latest_checkpoint",
 ]
 
-_CHECKPOINT_PREFIX = "checkpoint-"
-_CHECKPOINT_SUFFIX = ".json"
-
-
-def _checkpoint_name(covered_lsn: int) -> str:
-    return f"{_CHECKPOINT_PREFIX}{covered_lsn:020d}{_CHECKPOINT_SUFFIX}"
-
-
-def _checkpoint_lsn(path: Path) -> int:
-    stem = path.name[len(_CHECKPOINT_PREFIX):-len(_CHECKPOINT_SUFFIX)]
-    try:
-        return int(stem)
-    except ValueError:
-        raise StoreError(f"not a checkpoint name: {path.name}") from None
+_CHECKPOINTS = LsnFiles("checkpoint-", (".json",), "checkpoint")
 
 
 def checkpoint_files(directory: "str | Path") -> List[Path]:
     """Every checkpoint snapshot in the directory, oldest first."""
-    base = Path(directory)
-    if not base.is_dir():
-        return []
-    found = [
-        path
-        for path in base.iterdir()
-        if path.name.startswith(_CHECKPOINT_PREFIX)
-        and path.name.endswith(_CHECKPOINT_SUFFIX)
-    ]
-    return sorted(found, key=_checkpoint_lsn)
+    return _CHECKPOINTS.files(directory)
 
 
 def latest_checkpoint(directory: "str | Path") -> Optional[Path]:
     """The newest checkpoint snapshot, or None when none exists."""
-    files = checkpoint_files(directory)
-    return files[-1] if files else None
+    return _CHECKPOINTS.newest(directory)
 
 
 @dataclass
@@ -115,26 +93,17 @@ class CheckpointResult:
 class Checkpointer:
     """Periodic/on-demand snapshot-and-compact for one LMS + journal.
 
-    One pass at a time: :meth:`checkpoint` holds the instance's own
-    lock for the whole pass and :attr:`Lms.lock` only while collecting,
-    so the lock order is pass lock, then LMS lock.
+    Snapshots are written next to the journal's segments.  One pass at
+    a time: :meth:`checkpoint` holds the instance's own lock for the
+    whole pass and :attr:`Lms.lock` only while collecting, so the lock
+    order is pass lock, then LMS lock.
     """
 
-    def __init__(
-        self,
-        lms,
-        journal,
-        directory: "str | Path | None" = None,
-        *,
-        keep: int = 2,
-    ) -> None:
+    def __init__(self, lms, journal, *, keep: int = 2) -> None:
         if keep < 1:
             raise StoreError(f"must keep at least 1 checkpoint, got {keep}")
         self.lms = lms
         self.journal = journal
-        self.directory = (
-            Path(directory) if directory is not None else journal.directory
-        )
         self.keep = int(keep)
         self.checkpoints_taken = 0
         #: highest LSN any checkpoint this instance wrote has covered
@@ -146,7 +115,6 @@ class Checkpointer:
         from repro.lms.persistence import collect_payload, save_lms
 
         with self._pass_lock, obs.span("store.checkpoint"):
-            self.directory.mkdir(parents=True, exist_ok=True)
             # one critical section: the LSN stamp and the collected
             # state see the same instant, so the snapshot covers exactly
             # the records up to `covered`
@@ -155,29 +123,22 @@ class Checkpointer:
                 payload = collect_payload(self.lms)
             # writers run again while the snapshot is encoded and made
             # durable; nothing it covers is deleted before that
-            path = self.directory / _checkpoint_name(covered)
+            directory = self.journal.directory
+            path = directory / _CHECKPOINTS.name(covered)
             save_lms(payload, path, wal_lsn=covered)
             # seal the active segment so the *next* checkpoint can
             # retire everything written up to this one
             self.journal.rotate()
             retired = self.journal.retire_covered(covered)
-            pruned = self._prune()
+            pruned = _CHECKPOINTS.prune(directory, self.keep)
             self.checkpoints_taken += 1
             self.last_covered_lsn = max(self.last_covered_lsn, covered)
         obs.count("store.checkpoints")
+        if pruned:
+            obs.count("store.checkpoints.pruned", len(pruned))
         return CheckpointResult(
             path=path,
             covered_lsn=covered,
             retired_segments=retired,
             pruned_checkpoints=pruned,
         )
-
-    def _prune(self) -> List[Path]:
-        files = checkpoint_files(self.directory)
-        pruned: List[Path] = []
-        for path in files[: -self.keep]:
-            path.unlink()
-            pruned.append(path)
-        if pruned:
-            obs.count("store.checkpoints.pruned", len(pruned))
-        return pruned

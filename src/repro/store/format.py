@@ -1,8 +1,9 @@
-"""The compact binary WAL encoding (``format=2`` segments).
+"""The compact binary WAL encoding (``.walb`` segments).
 
-Version-1 segments are JSON lines — readable, but every record pays two
-``json.dumps`` passes (one canonical for the CRC, one with the CRC
-folded in) and the reader re-canonicalizes to verify.  Binary segments
+Version-1 segments, which older builds wrote and this one still reads,
+are JSON lines — readable, but every record paid two ``json.dumps``
+passes (one canonical for the CRC, one with the CRC folded in) and the
+reader re-canonicalizes to verify.  Binary segments
 replace that with a length-prefixed layout built from nothing but
 :mod:`struct` and a varint — no third-party codec:
 
@@ -173,12 +174,6 @@ def decode_varint(raw: bytes, offset: int) -> Tuple[int, int]:
         shift += 7
         if shift > 70:  # > 10 continuation bytes: corrupt, not just big
             raise ValueError("varint too long")
-
-
-def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if -(2**63) <= value < 2**63 else (
-        (value << 1) if value >= 0 else ((-value << 1) - 1)
-    )
 
 
 def _encode_zigzag(value: int) -> bytes:

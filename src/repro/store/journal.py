@@ -9,21 +9,20 @@ sealed and a new segment named after the next LSN begins, which is what
 lets checkpointing retire history in whole files
 (:mod:`repro.store.checkpoint`).
 
-Two wire formats coexist, selected per segment by file suffix and
-auto-detected on read, so a directory can mix them (old logs recover
+The journal writes one format and reads two, told apart per segment by
+the file suffix, so a directory can mix them (old logs recover
 unchanged after an upgrade):
 
-* ``format=2`` — compact binary (``wal-<lsn>.walb``): an 8-byte header
-  (magic + version) then length-prefixed records
-  (varint length + u32 CRC32 + struct-packed body; see
-  :mod:`repro.store.format`).  Every serving process writes this, with
+* binary (``wal-<lsn>.walb``): an 8-byte header (magic + version) then
+  length-prefixed records (varint length + u32 CRC32 + struct-packed
+  body; see :mod:`repro.store.format`).  The journal writes these, with
   the current header version (3: LMS events schema-coded); segments
   with header version 2 are still read, and :meth:`Journal.open` seals
   a version-2 tail rather than appending to it.
-* ``format=1`` — JSON lines (``wal-<lsn>.jsonl``): one canonical JSON
-  object per line with an embedded ``crc`` field.  Still read, so old
-  directories recover, tail and upgrade in place; ``Journal(format=1)``
-  remains only to produce v1 bytes for the reader's tests and benches.
+* v1 JSON lines (``wal-<lsn>.jsonl``), read only: one canonical JSON
+  object per line with an embedded ``crc`` field, as older builds
+  wrote them.  :meth:`Journal.open` seals a v1 tail and continues in a
+  binary segment.
 
 Each format has one offset-based decoder, called only by
 :func:`scan_segment`, through which recovery and the
@@ -33,9 +32,10 @@ Durability levels (``fsync`` policy):
 
 * ``"always"`` — ``os.fsync`` after every append: survives OS/power
   loss at the cost of one disk flush per record;
-* ``"interval"`` — flush to the OS on every append, ``fsync`` at most
-  every ``fsync_interval_seconds``: survives process death (SIGKILL)
-  with bounded data-at-risk on a machine crash;
+* ``"interval"`` — flush to the OS on every append, ``fsync`` on an
+  append at least :data:`FSYNC_INTERVAL` (0.05 s) after the last one:
+  survives process death (SIGKILL) with bounded data-at-risk on a
+  machine crash;
 * ``"never"`` — flush to the OS only: still SIGKILL-safe (the page
   cache holds the bytes), no protection against power loss.
 
@@ -77,10 +77,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.core.errors import StoreError, JournalCorruptError
 from repro.store import format as binfmt
+from repro.store.durable import LsnFiles
 
 __all__ = [
     "FSYNC_POLICIES",
-    "JOURNAL_FORMATS",
     "Journal",
     "JournalRecord",
     "TailScan",
@@ -94,17 +94,15 @@ __all__ = [
 
 #: accepted values for the Journal fsync policy
 FSYNC_POLICIES = ("always", "interval", "never")
-#: accepted values for the Journal wire format
-JOURNAL_FORMATS = (1, 2)
 
-_SEGMENT_PREFIX = "wal-"
-#: per-format segment suffix; the suffix is how readers auto-detect
-_FORMAT_SUFFIXES = {1: ".jsonl", 2: ".walb"}
-_SUFFIX_FORMATS = {suffix: fmt for fmt, suffix in _FORMAT_SUFFIXES.items()}
+#: segments are named after their first LSN; the journal writes
+#: ``.walb``, and the suffix is how readers tell the formats apart
+_SEGMENTS = LsnFiles("wal-", (".walb", ".jsonl"), "WAL segment")
+_SUFFIX_FORMATS = {".jsonl": 1, ".walb": 2}
 #: default segment rotation threshold (bytes)
 DEFAULT_SEGMENT_BYTES = 4 * 1024 * 1024
-#: default fsync coalescing window for the "interval" policy (seconds)
-DEFAULT_FSYNC_INTERVAL = 0.05
+#: the "interval" policy's fsync coalescing window (seconds)
+FSYNC_INTERVAL = 0.05
 
 _CRC32 = struct.Struct("<I")
 
@@ -125,14 +123,7 @@ def _canonical(payload: Dict[str, object]) -> str:
     )
 
 
-def _encode_record_v1(lsn: int, type_: str, data: Dict[str, object]) -> bytes:
-    body = {"lsn": lsn, "type": type_, "data": data}
-    crc = zlib.crc32(_canonical(body).encode("utf-8")) & 0xFFFFFFFF
-    body["crc"] = crc
-    return (_canonical(body) + "\n").encode("utf-8")
-
-
-def _encode_record_v2(lsn: int, type_: str, data: Dict[str, object]) -> bytes:
+def _encode_record(lsn: int, type_: str, data: Dict[str, object]) -> bytes:
     body = binfmt.encode_body(lsn, type_, data)
     return (
         binfmt.encode_varint(len(body))
@@ -165,10 +156,6 @@ def _decode_line(line: bytes) -> JournalRecord:
     return JournalRecord(lsn=lsn, type=type_, data=data)
 
 
-def _segment_name(first_lsn: int, format: int = 1) -> str:
-    return f"{_SEGMENT_PREFIX}{first_lsn:020d}{_FORMAT_SUFFIXES[format]}"
-
-
 def segment_format(path: Path) -> int:
     """The wire format a segment file uses (from its suffix)."""
     fmt = _SUFFIX_FORMATS.get(path.suffix)
@@ -179,25 +166,17 @@ def segment_format(path: Path) -> int:
 
 def segment_first_lsn(path: Path) -> int:
     """The first LSN a segment file can hold (encoded in its name)."""
-    stem = path.name[len(_SEGMENT_PREFIX): -len(path.suffix)]
-    try:
-        return int(stem)
-    except ValueError:
-        raise StoreError(f"not a WAL segment name: {path.name}") from None
+    return _SEGMENTS.lsn(path)
 
 
 def segment_files(directory: "str | Path") -> List[Path]:
-    """The directory's WAL segments (either format), in LSN order."""
-    base = Path(directory)
-    if not base.is_dir():
-        return []
-    segments = [
-        path
-        for path in base.iterdir()
-        if path.name.startswith(_SEGMENT_PREFIX)
-        and path.suffix in _SUFFIX_FORMATS
-    ]
-    return sorted(segments, key=segment_first_lsn)
+    """The directory's WAL segments (either format), in LSN order.
+
+    Two segments can share a first LSN: a v1 tail left empty by a crash
+    is sealed, and the binary segment after it takes the same LSN.  The
+    ``.jsonl`` then sorts first, so it is never taken for the tail.
+    """
+    return _SEGMENTS.files(directory)
 
 
 @dataclass
@@ -374,39 +353,26 @@ class Journal:
         directory: "str | Path",
         *,
         fsync: str = "interval",
-        fsync_interval_seconds: float = DEFAULT_FSYNC_INTERVAL,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        format: int = 2,
         group_commit: bool = False,
         registry: Optional["obs.Registry"] = None,
-        _last_lsn: int = 0,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise StoreError(
                 f"unknown fsync policy {fsync!r}; use one of {FSYNC_POLICIES}"
             )
-        if format not in JOURNAL_FORMATS:
-            raise StoreError(
-                f"unknown journal format {format!r}; "
-                f"use one of {JOURNAL_FORMATS}"
-            )
         if segment_bytes < 1:
             raise StoreError(f"segment_bytes must be >= 1, got {segment_bytes}")
         self.directory = Path(directory)
         self.fsync_policy = fsync
-        self.fsync_interval_seconds = float(fsync_interval_seconds)
         self.segment_bytes = int(segment_bytes)
-        self.format = int(format)
         self.group_commit = bool(group_commit)
-        self._encode_one = (
-            _encode_record_v2 if self.format == 2 else _encode_record_v1
-        )
         self._registry = registry
         self._lock = threading.Lock()
-        self._last_lsn = int(_last_lsn)
+        self._last_lsn = 0
         # the durable high-water mark: the highest LSN known to have
         # been fsynced to disk (what an external reader may lag behind)
-        self._durable_lsn = int(_last_lsn)
+        self._durable_lsn = 0
         self._stream = None
         self._segment_path: Optional[Path] = None
         self._segment_size = 0
@@ -435,9 +401,7 @@ class Journal:
         directory: "str | Path",
         *,
         fsync: str = "interval",
-        fsync_interval_seconds: float = DEFAULT_FSYNC_INTERVAL,
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        format: int = 2,
         group_commit: bool = False,
         registry: Optional["obs.Registry"] = None,
     ) -> "Journal":
@@ -445,24 +409,21 @@ class Journal:
 
         An existing log is scanned: the final segment's torn tail, if
         any, is physically truncated away, and appends continue from
-        the next LSN.  ``format`` governs segments this journal
-        *creates*; existing segments keep their own format, so opening
-        an old JSONL directory with ``format=2`` upgrades the log
-        mid-stream — the tail segment is sealed as-is and the next
-        append starts a binary one.  A binary tail with an older header
-        version is upgraded the same way; one that holds no record is
-        restarted under the current header instead.  A tail whose header
-        version is unknown raises :class:`JournalCorruptError` and is
-        left untouched.
+        the next LSN.  Existing segments keep their own format, so
+        opening an old JSONL directory upgrades the log mid-stream: the
+        v1 tail is sealed as-is and the next append starts a binary
+        segment.  A binary tail with an older header version is
+        upgraded the same way; one that holds no record is restarted
+        under the current header instead.  A tail whose header version
+        is unknown raises :class:`JournalCorruptError` and is left
+        untouched.
         """
         base = Path(directory)
         base.mkdir(parents=True, exist_ok=True)
         journal = cls(
             base,
             fsync=fsync,
-            fsync_interval_seconds=fsync_interval_seconds,
             segment_bytes=segment_bytes,
-            format=format,
             group_commit=group_commit,
             registry=registry,
         )
@@ -485,19 +446,15 @@ class Journal:
                 journal._last_lsn = segment_first_lsn(tail) - 1
             # whatever survived the open scan is on disk by definition
             journal._durable_lsn = journal._last_lsn
-            if segment_format(tail) == journal.format:
-                current = scan.version == binfmt.SEGMENT_VERSION
-                if journal.format == 1 or current:
-                    journal._open_segment(tail, append=True)
-                elif not scan.records:
-                    # no record behind an older (or torn) header, and the
-                    # successor would take this name: restart the file
-                    tail.write_bytes(b"")
-                    journal._open_segment(tail, append=True)
-                # else: an older header version; seal it like a format
-                # change, and the next append starts a current segment
-            # else: leave the tail sealed; the next append opens a new
-            # segment in the configured format (mid-stream upgrade)
+            if scan.version == binfmt.SEGMENT_VERSION:
+                journal._open_segment(tail, append=True)
+            elif segment_format(tail) == 2 and not scan.records:
+                # no record behind an older (or torn) header, and the
+                # successor would take this name: restart the file
+                tail.write_bytes(b"")
+                journal._open_segment(tail, append=True)
+            # else: a v1 tail, or an older header version; leave it
+            # sealed, and the next append starts a current segment
         return journal
 
     # -- appending ------------------------------------------------------------
@@ -659,12 +616,11 @@ class Journal:
         chunks = []
         for type_, data in events:
             lsn += 1
-            chunks.append(self._encode_one(lsn, type_, data))
+            chunks.append(_encode_record(lsn, type_, data))
         encoded = b"".join(chunks)
         if self._stream is None:
             self._open_segment(
-                self.directory
-                / _segment_name(self._last_lsn + 1, self.format),
+                self.directory / _SEGMENTS.name(self._last_lsn + 1),
                 append=False,
             )
         self._stream.write(encoded)
@@ -722,7 +678,7 @@ class Journal:
         self._stream = path.open("ab" if append else "xb")
         self._segment_path = path
         self._segment_size = path.stat().st_size if append else 0
-        if segment_format(path) == 2 and self._segment_size == 0:
+        if self._segment_size == 0:
             header = binfmt.segment_header()
             self._stream.write(header)
             self._stream.flush()
@@ -745,7 +701,7 @@ class Journal:
             self._fsync_locked()
         elif self.fsync_policy == "interval":
             now = time.monotonic()
-            if now - self._last_fsync >= self.fsync_interval_seconds:
+            if now - self._last_fsync >= FSYNC_INTERVAL:
                 self._fsync_locked()
 
     def _fsync_locked(self) -> None:

@@ -31,7 +31,7 @@ anywhere else raises
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -122,16 +122,14 @@ class RecoveryReport:
         )
 
 
-def recover(
-    wal_dir: "str | Path",
-    checkpoint_dir: "str | Path | None" = None,
-) -> RecoveryReport:
-    """Rebuild the LMS from ``wal_dir``'s checkpoint + journal suffix.
+def recover(wal_dir: "str | Path") -> RecoveryReport:
+    """Rebuild the LMS from ``wal_dir``'s newest checkpoint + journal
+    suffix.
 
-    ``checkpoint_dir`` defaults to ``wal_dir`` (the
-    :class:`~repro.store.checkpoint.Checkpointer` writes snapshots next
-    to the segments).  The returned LMS has **no journal attached**;
-    callers that will keep serving open the
+    The :class:`~repro.store.checkpoint.Checkpointer` writes snapshots
+    next to the segments, so both come from ``wal_dir``; the segments
+    may be binary or v1 JSON lines.  The returned LMS has **no journal
+    attached**; callers that will keep serving open the
     :class:`~repro.store.journal.Journal` afterwards and
     :meth:`~repro.lms.lms.Lms.attach_journal` it — attaching before
     replay would re-journal every replayed event.  Raises
@@ -145,9 +143,7 @@ def recover(
     from repro.store.checkpoint import latest_checkpoint
 
     wal_path = Path(wal_dir)
-    checkpoint_path = latest_checkpoint(
-        Path(checkpoint_dir) if checkpoint_dir is not None else wal_path
-    )
+    checkpoint_path = latest_checkpoint(wal_path)
     clock = ReplayClock()
     if checkpoint_path is not None:
         payload = load_payload(checkpoint_path)

@@ -3,12 +3,14 @@
 :class:`JournalTailer` reads a journal directory the way ``tail -f``
 reads a log file: position once at any LSN (binary-searching the
 segment by its filename prefix — no decoding of prior segments), then
-:meth:`poll` repeatedly (or iterate :meth:`follow`) to receive every
-record appended since, **exactly once**, in LSN order.  The tailer is a
-pure reader — it opens segment files read-only, keeps a byte offset
-into the active one, and never touches the writer's :class:`~repro.
-store.journal.Journal` instance — so it can run in the serving process
-(the read-model thread) or in a completely separate one.  It decodes
+:meth:`poll` repeatedly to receive every record appended since,
+**exactly once**, in LSN order.  It never blocks or sleeps: the caller
+decides when to poll (the read-model service polls on its own thread
+and before every query).  The tailer is a pure reader — it opens
+segment files read-only, keeps a byte offset into the active one, and
+never touches the writer's :class:`~repro.store.journal.Journal`
+instance — so it can run in the serving process (the read-model
+thread) or in a completely separate one.  It decodes
 from that offset with :func:`~repro.store.journal.scan_segment`, the
 decoder recovery uses, so the two cannot disagree on framing.
 
@@ -17,10 +19,10 @@ What it survives, by design:
 * **mid-read segment rotation** — a sealed segment is drained to its
   last record, then the successor (named ``wal-<last_lsn + 1>``) is
   picked up in the same poll;
-* **seal-and-continue upgrades** — a v1 JSONL tail sealed by a
-  ``format=2`` reopen, or a version-2 binary tail sealed by a reopen
-  that writes version 3, is followed into its successor segment
-  transparently (the format is re-detected per segment);
+* **seal-and-continue upgrades** — a v1 JSONL tail or a version-2
+  binary tail, sealed by a reopen that writes version 3, is followed
+  into its successor segment transparently (the format is re-detected
+  per segment);
 * **a torn tail** — a half-written record at the tip is *not* an
   error: the tailer holds its offset at the last whole record and
   retries, so a group-committed batch is seen exactly once, never as a
@@ -34,10 +36,8 @@ What it survives, by design:
 
 from __future__ import annotations
 
-import threading
-import time
 from pathlib import Path
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro import obs
 from repro.core.errors import JournalCorruptError, StoreError
@@ -49,10 +49,7 @@ from repro.store.journal import (
     start_segment_index,
 )
 
-__all__ = ["JournalTailer", "TailTruncatedError", "DEFAULT_POLL_INTERVAL"]
-
-#: how long :meth:`JournalTailer.follow` sleeps when the tip is quiet
-DEFAULT_POLL_INTERVAL = 0.02
+__all__ = ["JournalTailer", "TailTruncatedError"]
 
 
 class TailTruncatedError(StoreError):
@@ -70,14 +67,8 @@ class JournalTailer:
     one tailer, one consumer thread (the read-model service wraps it).
     """
 
-    def __init__(
-        self,
-        directory: "str | Path",
-        start_lsn: int = 0,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-    ) -> None:
+    def __init__(self, directory: "str | Path", start_lsn: int = 0) -> None:
         self.directory = Path(directory)
-        self.poll_interval = float(poll_interval)
         self._lsn = int(start_lsn)
         self._segment: Optional[Path] = None
         self._offset = 0
@@ -112,25 +103,6 @@ class JournalTailer:
             obs.count("tail.records", len(records))
         return records
 
-    def follow(
-        self, stop: Optional[threading.Event] = None
-    ) -> Iterator[JournalRecord]:
-        """Block at the tip, yielding records as they are appended.
-
-        Runs until ``stop`` is set (checked between polls); with no
-        event, runs forever — the read-model service's thread body.
-        """
-        while stop is None or not stop.is_set():
-            batch = self.poll()
-            if batch:
-                for record in batch:
-                    yield record
-                continue  # drain hot: no sleep while records flow
-            if stop is not None:
-                stop.wait(self.poll_interval)
-            else:  # pragma: no cover - unbounded variant
-                time.sleep(self.poll_interval)
-
     # -- positioning ----------------------------------------------------------
 
     def seek(self, lsn: int) -> None:
@@ -162,12 +134,15 @@ class JournalTailer:
 
     def _advance_if_sealed(self) -> bool:
         """Move to the successor segment when the current one is sealed
-        exactly at our position; True when the tailer advanced."""
+        exactly at our position; True when the tailer advanced.  Only a
+        segment listed after the current one can succeed it: an empty
+        v1 segment and the binary one after it share a first LSN, and
+        must not hand over to each other in turn."""
         segments = segment_files(self.directory)
+        if self._segment in segments:
+            segments = segments[segments.index(self._segment) + 1:]
         for path in segments:
-            if segment_first_lsn(path) == self._lsn + 1 and (
-                path != self._segment
-            ):
+            if segment_first_lsn(path) == self._lsn + 1:
                 self._enter_segment(path)
                 return True
         return False

@@ -429,3 +429,50 @@ class TestAnalysisIntegration:
         )
         assert report.time_analysis == expected
         assert len(report.cohort.scores) == 8
+
+
+class TestManualGrading:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="apply_manual_grade changes only the result object: no "
+        "journaled Lms operation re-folds the sitting, so the learner "
+        "record, the cohort and recovery keep the pre-grade percent",
+    )
+    def test_an_essay_grade_reaches_every_view_of_the_sitting(self, tmp_path):
+        from repro.items.essay import EssayItem
+        from repro.store import Journal, recover
+
+        exam = (
+            ExamBuilder("essay-exam", "Essay")
+            .add_item(
+                MultipleChoiceItem.build(
+                    "q1", "Pick A.", ["a", "b"], correct_index=0
+                )
+            )
+            .add_item(EssayItem(item_id="e1", question="Why?", max_points=4))
+            .time_limit(600)
+            .build()
+        )
+        journal = Journal.open(tmp_path, fsync="never")
+        lms = Lms(clock=ManualClock(), journal=journal)
+        lms.offer_exam(exam)
+        lms.register_learner(Learner(learner_id="amy", name="Amy"))
+        lms.enroll("amy", "essay-exam")
+        lms.start_exam("amy", "essay-exam")
+        lms.answer("amy", "essay-exam", "q1", "A")
+        lms.answer("amy", "essay-exam", "e1", "Because.")
+        graded = lms.submit("amy", "essay-exam")
+        assert graded.percent == 20.0
+        assert graded.scores["e1"].needs_manual_grading
+        lms.results_for("essay-exam")[0].apply_manual_grade(exam, "e1", 3.0)
+        journal.close()
+        percents = {
+            "result": lms.results_for("essay-exam")[0].percent,
+            "learner": lms.learners.get("amy").course_scores["essay-exam"],
+            "cohort": lms._cohorts["essay-exam"].percents["amy"],
+            "recovered": recover(tmp_path)
+            .lms.results_for("essay-exam")[0]
+            .percent,
+        }
+        assert percents["result"] == 80.0
+        assert set(percents.values()) == {80.0}, percents

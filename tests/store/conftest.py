@@ -1,5 +1,9 @@
 """Shared fixtures for the durable-store suite."""
 
+import pytest
+
+from v1log import FORMATS
+
 from repro.delivery.clock import ManualClock
 from repro.exams.authoring import ExamBuilder
 from repro.items.choice import MultipleChoiceItem
@@ -34,3 +38,9 @@ def enroll_cohort(lms, learner_ids, exam_id="ex1"):
             Learner(learner_id=learner_id, name=learner_id.title())
         )
         lms.enroll(learner_id, exam_id)
+
+
+@pytest.fixture(params=FORMATS, ids=lambda f: f"format{f}")
+def fmt(request):
+    """A segment format the reader decodes: 1 (v1 JSON lines), 2 (binary)."""
+    return request.param

@@ -47,7 +47,7 @@ operations = st.one_of(
 
 def make_pair(tmp_path, name):
     wal_dir = tmp_path / name
-    journal = Journal.open(wal_dir, fsync="never", format=2)
+    journal = Journal.open(wal_dir, fsync="never")
     clock = ManualClock(100.0)
     lms = Lms(clock=clock, journal=journal)
     lms.offer_exam(build_exam())

@@ -1,12 +1,13 @@
-"""Cross-format differential suite: JSONL v1 ≡ binary v2.
+"""Cross-format differential suite: JSONL v1 ≡ binary.
 
 The wire format is an encoding choice, not a semantic one: the same
-event stream journaled as v1 and as v2 must decode to the *same
-records* and recover to the *same LMS* — including directories that
-changed format mid-stream.  The fuzz half extends the kill-at-byte-N
-torn-tail property to binary segments and to group-commit flush
-boundaries: any prefix of a v2 log is a valid log, and damage never
-resurrects a torn record.
+event stream journaled as v1 (by ``v1log.V1Log``, as older builds
+wrote it) and as binary must decode to the *same records* and recover
+to the *same LMS* — including directories that changed format
+mid-stream.  The fuzz half extends the kill-at-byte-N torn-tail
+property to binary segments and to group-commit flush boundaries: any
+prefix of a binary log is a valid log, and damage never resurrects a
+torn record.
 """
 
 import threading
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_exam, enroll_cohort
+from v1log import open_log
 
 from repro.core.errors import AssessmentError
 from repro.delivery.clock import ManualClock
@@ -30,8 +32,8 @@ from repro.store import (
 LEARNERS = ["amy", "ben", "cal"]
 
 
-def journaled(wal_dir, fmt, origin=100.0):
-    journal = Journal.open(wal_dir, fsync="never", format=fmt)
+def journaled(wal_dir, fmt=2, origin=100.0):
+    journal = open_log(wal_dir, fmt)
     clock = ManualClock(origin)
     lms = Lms(clock=clock, journal=journal)
     lms.offer_exam(build_exam())
@@ -92,7 +94,7 @@ class TestCrossFormatEquivalence:
 
     def test_mid_stream_upgrade_recovers_identically(self, tmp_path):
         # reference: the whole run in one v2 directory
-        ref_lms, ref_clock, ref_journal = journaled(tmp_path / "ref", 2)
+        ref_lms, ref_clock, ref_journal = journaled(tmp_path / "ref")
         drive_first_half(ref_lms, ref_clock)
         drive_second_half(ref_lms, ref_clock)
         ref_journal.close()
@@ -104,7 +106,7 @@ class TestCrossFormatEquivalence:
         journal.sync()
         journal.close()
         recovered = recover(wal_dir)
-        journal = Journal.open(wal_dir, fsync="never", format=2)
+        journal = Journal.open(wal_dir, fsync="never")
         lms2 = recovered.lms
         lms2.attach_journal(journal)
         # continue on the replayed timeline at the reference clock's point
@@ -132,7 +134,7 @@ class _Advancer:
 
 class TestBinaryTornTailFuzz:
     def _filled_dir(self, tmp_path):
-        lms, clock, journal = journaled(tmp_path, 2)
+        lms, clock, journal = journaled(tmp_path)
         drive_first_half(lms, clock)
         drive_second_half(lms, clock)
         journal.sync()

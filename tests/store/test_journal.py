@@ -1,8 +1,10 @@
 """Unit tests for the WAL itself (repro.store.journal).
 
 Format-agnostic behaviors (LSNs, rotation, torn tails, retirement) run
-against BOTH wire formats via the ``fmt`` fixture; the wire-format
-classes at the bottom pin each format's actual byte layout.
+against BOTH segment formats via the ``fmt`` fixture: the journal
+writes the binary ones, and ``v1log.V1Log`` the v1 JSON lines older
+builds wrote, which the journal reads, repairs and continues after.
+The wire-format classes at the bottom pin each format's byte layout.
 """
 
 import json
@@ -11,12 +13,13 @@ import zlib
 
 import pytest
 
+from v1log import FORMATS, GOLDEN_V1, V1Log, encode_v1_record, open_log
+
 from repro.core.errors import JournalCorruptError, StoreError
 from repro.store.events import register_event
 from repro.store.format import SEGMENT_HEADER_LEN, segment_header
 from repro.store.journal import (
     FSYNC_POLICIES,
-    JOURNAL_FORMATS,
     Journal,
     JournalRecord,
     read_records,
@@ -25,11 +28,6 @@ from repro.store.journal import (
     segment_format,
 )
 from repro.store.recovery import recover
-
-
-@pytest.fixture(params=JOURNAL_FORMATS, ids=lambda f: f"format{f}")
-def fmt(request):
-    return request.param
 
 
 def append_n(journal, count, start=0):
@@ -45,13 +43,14 @@ def first_lsn_of(path):
 
 class TestAppendRead:
     def test_lsns_are_monotonic_from_one(self, tmp_path, fmt):
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             assert append_n(journal, 5) == [1, 2, 3, 4, 5]
             assert journal.last_lsn == 5
+        assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3, 4, 5]
 
     def test_round_trip_preserves_type_and_data(self, tmp_path, fmt):
         payload = {"learner_id": "amy", "response": ["A", None, 3.5]}
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             journal.append("answer", payload)
         records = list(read_records(tmp_path))
         assert records == [
@@ -59,16 +58,17 @@ class TestAppendRead:
         ]
 
     def test_read_filters_by_start_lsn(self, tmp_path, fmt):
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             append_n(journal, 6)
         assert [r.lsn for r in read_records(tmp_path, start_lsn=4)] == [5, 6]
 
     def test_reopen_continues_the_lsn_sequence(self, tmp_path, fmt):
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             append_n(journal, 3)
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with Journal.open(tmp_path, fsync="never") as journal:
             assert journal.last_lsn == 3
             assert journal.append("answer", {}) == 4
+        assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3, 4]
 
     def test_closed_journal_rejects_appends(self, tmp_path):
         journal = Journal.open(tmp_path, fsync="never")
@@ -89,10 +89,6 @@ class TestAppendRead:
         with pytest.raises(StoreError):
             Journal.open(tmp_path, fsync="sometimes")
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(StoreError):
-            Journal.open(tmp_path, format=3)
-
     def test_always_policy_fsyncs_per_append(self, tmp_path):
         with Journal.open(tmp_path, fsync="always") as journal:
             append_n(journal, 4)
@@ -101,7 +97,7 @@ class TestAppendRead:
 
 class TestBatchAppend:
     def test_batch_lsns_are_contiguous(self, tmp_path, fmt):
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             journal.append("answer", {"n": 0})
             lsns = journal.append_batch(
                 [("answer", {"n": n}) for n in range(1, 5)]
@@ -124,7 +120,7 @@ class TestBatchAppend:
             assert journal.records_appended == 10
 
     def test_batch_interleaves_with_single_appends(self, tmp_path, fmt):
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             journal.append("a", {})
             journal.append_batch([("b", {}), ("c", {})])
             journal.append("d", {})
@@ -174,9 +170,7 @@ class TestGroupCommit:
 
 class TestRotation:
     def test_rotates_when_segment_fills(self, tmp_path, fmt):
-        with Journal.open(
-            tmp_path, fsync="never", segment_bytes=120, format=fmt
-        ) as journal:
+        with open_log(tmp_path, fmt, segment_bytes=120) as journal:
             append_n(journal, 30)
             assert journal.rotations >= 2
         segments = segment_files(tmp_path)
@@ -187,14 +181,12 @@ class TestRotation:
         assert firsts == sorted(firsts)
 
     def test_records_span_segments_in_order(self, tmp_path, fmt):
-        with Journal.open(
-            tmp_path, fsync="never", segment_bytes=150, format=fmt
-        ) as journal:
+        with open_log(tmp_path, fmt, segment_bytes=150) as journal:
             append_n(journal, 20)
         assert [r.lsn for r in read_records(tmp_path)] == list(range(1, 21))
 
     def test_manual_rotate_seals_the_active_segment(self, tmp_path, fmt):
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             append_n(journal, 2)
             sealed = journal.rotate()
             assert sealed is not None
@@ -203,12 +195,12 @@ class TestRotation:
 
 
 class TestMixedFormats:
-    """A directory upgraded mid-stream: v1 history, v2 tail."""
+    """A directory upgraded mid-stream: v1 history, binary tail."""
 
     def test_v2_open_seals_a_v1_tail_and_continues(self, tmp_path):
-        with Journal.open(tmp_path, fsync="never", format=1) as journal:
-            append_n(journal, 3)
-        with Journal.open(tmp_path, fsync="never", format=2) as journal:
+        with V1Log(tmp_path) as log:
+            append_n(log, 3)
+        with Journal.open(tmp_path, fsync="never") as journal:
             assert journal.last_lsn == 3
             assert journal.append("answer", {"n": 3}) == 4
             append_n(journal, 2, start=4)
@@ -217,18 +209,23 @@ class TestMixedFormats:
         assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3, 4, 5, 6]
 
     def test_v1_open_seals_a_v2_tail_and_continues(self, tmp_path):
-        with Journal.open(tmp_path, fsync="never", format=2) as journal:
+        # an older build once sealed a binary tail and wrote v1 after
+        # it; the journal reads across both and continues in binary
+        with Journal.open(tmp_path, fsync="never") as journal:
             append_n(journal, 3)
-        with Journal.open(tmp_path, fsync="never", format=1) as journal:
-            assert journal.append("answer", {"n": 99}) == 4
+        with V1Log(tmp_path) as log:
+            assert log.append("answer", {"n": 99}) == 4
+        with Journal.open(tmp_path, fsync="never") as journal:
+            assert journal.last_lsn == 4
+            assert journal.append("answer", {"n": 100}) == 5
         suffixes = [p.suffix for p in segment_files(tmp_path)]
-        assert suffixes == [".walb", ".jsonl"]
-        assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3, 4]
+        assert suffixes == [".walb", ".jsonl", ".walb"]
+        assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3, 4, 5]
 
     def test_segment_format_is_suffix_driven(self, tmp_path):
-        with Journal.open(tmp_path, fsync="never", format=1) as journal:
-            append_n(journal, 1)
-        with Journal.open(tmp_path, fsync="never", format=2) as journal:
+        with V1Log(tmp_path) as log:
+            append_n(log, 1)
+        with Journal.open(tmp_path, fsync="never") as journal:
             append_n(journal, 1, start=1)
         formats = [segment_format(p) for p in segment_files(tmp_path)]
         assert formats == [1, 2]
@@ -236,7 +233,7 @@ class TestMixedFormats:
 
 class TestTornTail:
     def fill(self, tmp_path, fmt, count=5):
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             append_n(journal, count)
         return segment_files(tmp_path)[-1]
 
@@ -276,7 +273,7 @@ class TestTornTail:
     def test_torn_v2_header_is_repaired_to_empty(self, tmp_path):
         tail = self.fill(tmp_path, 2, count=2)
         tail.write_bytes(tail.read_bytes()[:3])  # crash mid-header
-        with Journal.open(tmp_path, fsync="never", format=2) as journal:
+        with Journal.open(tmp_path, fsync="never") as journal:
             assert journal.repaired_bytes == 3
             assert journal.last_lsn == 0
             assert journal.append("answer", {"n": 0}) == 1
@@ -286,7 +283,7 @@ class TestTornTail:
         tail = self.fill(tmp_path, fmt)
         whole = tail.read_bytes()
         tail.write_bytes(whole[:-3])
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with Journal.open(tmp_path, fsync="never") as journal:
             assert journal.repaired_bytes > 0
             assert journal.last_lsn == 4
             # appends continue after the repaired tail with the next LSN
@@ -309,9 +306,7 @@ class TestTornTail:
         assert previous == 6
 
     def test_damage_in_a_sealed_segment_raises(self, tmp_path, fmt):
-        with Journal.open(
-            tmp_path, fsync="never", segment_bytes=150, format=fmt
-        ) as journal:
+        with open_log(tmp_path, fmt, segment_bytes=150) as journal:
             append_n(journal, 20)
         first = segment_files(tmp_path)[0]
         raw = bytearray(first.read_bytes())
@@ -436,13 +431,9 @@ class TestRetirement:
         journal.close()
 
     def test_retirement_spans_a_format_boundary(self, tmp_path):
-        with Journal.open(
-            tmp_path, fsync="never", segment_bytes=150, format=1
-        ) as journal:
-            append_n(journal, 10)
-        journal = Journal.open(
-            tmp_path, fsync="never", segment_bytes=150, format=2
-        )
+        with V1Log(tmp_path, segment_bytes=150) as log:
+            append_n(log, 10)
+        journal = Journal.open(tmp_path, fsync="never", segment_bytes=150)
         append_n(journal, 10, start=10)
         assert {p.suffix for p in journal.segments()} == {".jsonl", ".walb"}
         removed = journal.retire_covered(journal.last_lsn)
@@ -452,18 +443,18 @@ class TestRetirement:
 
 
 class TestWireFormat:
-    def test_v1_records_are_json_lines_with_crc(self, tmp_path):
-        with Journal.open(tmp_path, fsync="never", format=1) as journal:
-            journal.append("enroll", {"learner_id": "amy"})
-        line = segment_files(tmp_path)[0].read_text().strip()
+    def test_v1_records_are_json_lines_with_crc(self):
+        segment = segment_files(GOLDEN_V1 / "wal")[0]
+        line = segment.read_bytes().splitlines(keepends=True)[2]
         payload = json.loads(line)
-        assert payload["lsn"] == 1
-        assert payload["type"] == "enroll"
-        assert payload["data"] == {"learner_id": "amy"}
+        assert payload["lsn"] == 3
+        assert payload["type"] == "register"
+        assert payload["data"]["learner_id"] == "ann"
         assert isinstance(payload["crc"], int)
+        assert line == encode_v1_record(3, "register", payload["data"])
 
     def test_v2_segments_start_with_the_magic_header(self, tmp_path):
-        with Journal.open(tmp_path, fsync="never", format=2) as journal:
+        with Journal.open(tmp_path, fsync="never") as journal:
             journal.append("enroll", {"learner_id": "amy"})
         raw = segment_files(tmp_path)[0].read_bytes()
         assert raw[:4] == b"MAWL"
@@ -472,7 +463,7 @@ class TestWireFormat:
     def test_v2_record_crc_covers_the_body(self, tmp_path):
         from repro.store.format import decode_varint
 
-        with Journal.open(tmp_path, fsync="never", format=2) as journal:
+        with Journal.open(tmp_path, fsync="never") as journal:
             journal.append("enroll", {"learner_id": "amy"})
         raw = segment_files(tmp_path)[0].read_bytes()
         body_len, offset = decode_varint(raw, SEGMENT_HEADER_LEN)
@@ -490,10 +481,8 @@ class TestWireFormat:
             "response": "B",
             "ts": 1234.5,
         }
-        for fmt in JOURNAL_FORMATS:
-            with Journal.open(
-                tmp_path / str(fmt), fsync="never", format=fmt
-            ) as journal:
+        for fmt in FORMATS:
+            with open_log(tmp_path / str(fmt), fmt) as journal:
                 for _ in range(50):
                     journal.append("answer", payload)
         v1 = sum(p.stat().st_size for p in segment_files(tmp_path / "1"))

@@ -4,22 +4,20 @@
 same offset-based decoder, so a tailer that polls a segment while it
 grows byte by byte must end up with exactly the records one scan of the
 finished segment finds: each once, in LSN order, whatever the cuts.
-The writes mix schema-coded LMS events with fallback-form payloads.
+The binary writes mix schema-coded LMS events with fallback-form
+payloads; the v1 segments come from ``v1log.V1Log``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from v1log import FORMATS, open_log
+
 from repro.core.errors import JournalCorruptError
 from repro.store.events import answer_event, lifecycle_event
 from repro.store.format import segment_header
-from repro.store.journal import (
-    JOURNAL_FORMATS,
-    Journal,
-    scan_segment,
-    segment_files,
-)
+from repro.store.journal import Journal, scan_segment, segment_files
 from repro.store.tail import JournalTailer
 
 texts = st.text(
@@ -60,7 +58,7 @@ writes = st.lists(st.lists(events, min_size=1, max_size=4), min_size=1,
 
 
 def write_segment(directory, fmt, groups):
-    with Journal.open(directory, fsync="never", format=fmt) as journal:
+    with open_log(directory, fmt) as journal:
         for group in groups:
             if len(group) == 1:
                 journal.append(*group[0])
@@ -70,7 +68,7 @@ def write_segment(directory, fmt, groups):
     return segment
 
 
-@pytest.mark.parametrize("fmt", JOURNAL_FORMATS, ids=lambda f: f"format{f}")
+@pytest.mark.parametrize("fmt", FORMATS, ids=lambda f: f"format{f}")
 @settings(max_examples=40, deadline=None)
 @given(groups=writes, data=st.data())
 def test_tailer_over_growing_prefixes_matches_one_scan(
@@ -100,7 +98,7 @@ def test_tailer_over_growing_prefixes_matches_one_scan(
 
 
 def test_tailer_raises_on_a_bad_v2_magic(tmp_path):
-    with Journal.open(tmp_path, fsync="never", format=2) as journal:
+    with Journal.open(tmp_path, fsync="never") as journal:
         journal.append("answer", {"n": 1})
     (segment,) = segment_files(tmp_path)
     raw = segment.read_bytes()

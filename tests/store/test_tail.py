@@ -3,24 +3,22 @@
 The tailer feeds the analytics read models, so its contract is strict:
 every record exactly once, in LSN order, from any starting LSN, across
 segment rotations, format upgrades, torn tips, and group-committed
-batches.  Format-agnostic behaviors run against both wire formats.
+batches.  Format-agnostic behaviors run against both segment formats:
+binary segments from the journal, v1 JSON lines from
+``v1log.V1Log``.
 """
 
 import pytest
 
+from v1log import V1Log, open_log
+
 from repro.store.journal import (
-    JOURNAL_FORMATS,
     Journal,
     read_records,
     segment_files,
     segment_first_lsn,
 )
 from repro.store.tail import JournalTailer, TailTruncatedError
-
-
-@pytest.fixture(params=JOURNAL_FORMATS, ids=lambda f: f"format{f}")
-def fmt(request):
-    return request.param
 
 
 def append_n(journal, count, start=0):
@@ -34,7 +32,7 @@ def drain(tailer):
 
 class TestPositioning:
     def test_tail_from_zero_sees_everything(self, tmp_path, fmt):
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             append_n(journal, 7)
         tailer = JournalTailer(tmp_path)
         assert drain(tailer) == [1, 2, 3, 4, 5, 6, 7]
@@ -44,9 +42,7 @@ class TestPositioning:
     def test_opens_mid_segment_at_any_lsn(self, tmp_path, fmt):
         """The binary-search entry point: starting inside any segment
         yields exactly the records above the mark, none below."""
-        with Journal.open(
-            tmp_path, fsync="never", format=fmt, segment_bytes=256
-        ) as journal:
+        with open_log(tmp_path, fmt, segment_bytes=256) as journal:
             append_n(journal, 40)
         assert len(segment_files(tmp_path)) > 2  # rotation happened
         for start in (0, 1, 13, 22, 39, 40):
@@ -57,9 +53,7 @@ class TestPositioning:
         """Regression: starting exactly at a segment's first LSN (and
         one either side of it) must neither skip nor repeat the record
         that sits on the rotation boundary."""
-        with Journal.open(
-            tmp_path, fsync="never", format=fmt, segment_bytes=256
-        ) as journal:
+        with open_log(tmp_path, fmt, segment_bytes=256) as journal:
             append_n(journal, 40)
         boundaries = [
             segment_first_lsn(path) for path in segment_files(tmp_path)[1:]
@@ -75,9 +69,7 @@ class TestPositioning:
     def test_seek_back_rereads_across_segments_and_keeps_totals(
         self, tmp_path, fmt
     ):
-        with Journal.open(
-            tmp_path, fsync="never", format=fmt, segment_bytes=256
-        ) as journal:
+        with open_log(tmp_path, fmt, segment_bytes=256) as journal:
             append_n(journal, 40)
         tailer = JournalTailer(tmp_path)
         assert drain(tailer) == list(range(1, 41))
@@ -112,9 +104,7 @@ class TestFollowingTheTip:
     def test_mid_read_rotation_drains_in_order(self, tmp_path, fmt):
         """Appends that rotate the active segment while the tailer is
         parked at the old tip are all picked up by one poll, in order."""
-        with Journal.open(
-            tmp_path, fsync="never", format=fmt, segment_bytes=256
-        ) as journal:
+        with open_log(tmp_path, fmt, segment_bytes=256) as journal:
             append_n(journal, 5)
             tailer = JournalTailer(tmp_path)
             assert drain(tailer) == [1, 2, 3, 4, 5]
@@ -124,13 +114,13 @@ class TestFollowingTheTip:
             assert drain(tailer) == list(range(6, 36))
 
     def test_v1_to_v2_seal_and_continue_is_transparent(self, tmp_path):
-        """A format=2 reopen seals the v1 tail and starts a binary
+        """Opening the journal seals the v1 tail and starts a binary
         successor; the tailer follows across the upgrade."""
-        with Journal.open(tmp_path, fsync="never", format=1) as journal:
-            append_n(journal, 4)
+        with V1Log(tmp_path) as log:
+            append_n(log, 4)
         tailer = JournalTailer(tmp_path)
         assert drain(tailer) == [1, 2, 3, 4]
-        with Journal.open(tmp_path, fsync="never", format=2) as journal:
+        with Journal.open(tmp_path, fsync="never") as journal:
             append_n(journal, 4, start=4)
         assert drain(tailer) == [5, 6, 7, 8]
         assert [r.lsn for r in read_records(tmp_path)] == list(range(1, 9))
@@ -138,11 +128,10 @@ class TestFollowingTheTip:
     def test_torn_tip_is_held_not_duplicated(self, tmp_path, fmt):
         """Bytes of a half-written record at the tip are not yielded;
         once the record completes it arrives exactly once."""
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+        with open_log(tmp_path, fmt) as journal:
             append_n(journal, 3)
-        segment = segment_files(tmp_path)[-1]
-        whole = segment.read_bytes()
-        with Journal.open(tmp_path, fsync="never", format=fmt) as journal:
+            segment = segment_files(tmp_path)[-1]
+            whole = segment.read_bytes()
             append_n(journal, 1, start=3)
         complete = segment.read_bytes()
         assert len(complete) > len(whole)
@@ -157,20 +146,19 @@ class TestFollowingTheTip:
 
 class TestRetirement:
     def test_retirement_behind_the_tailer_is_harmless(self, tmp_path, fmt):
-        with Journal.open(
-            tmp_path, fsync="never", format=fmt, segment_bytes=256
-        ) as journal:
+        with open_log(tmp_path, fmt, segment_bytes=256) as journal:
             append_n(journal, 30)
-            tailer = JournalTailer(tmp_path)
-            assert drain(tailer) == list(range(1, 31))
-            journal.retire_covered(tailer.position)
+        tailer = JournalTailer(tmp_path)
+        assert drain(tailer) == list(range(1, 31))
+        with Journal.open(
+            tmp_path, fsync="never", segment_bytes=256
+        ) as journal:
+            assert journal.retire_covered(tailer.position)
             append_n(journal, 5, start=30)
             assert drain(tailer) == list(range(31, 36))
 
     def test_retirement_ahead_of_the_tailer_raises(self, tmp_path, fmt):
-        with Journal.open(
-            tmp_path, fsync="never", format=fmt, segment_bytes=256
-        ) as journal:
+        with open_log(tmp_path, fmt, segment_bytes=256) as journal:
             append_n(journal, 30)
         segments = segment_files(tmp_path)
         assert len(segments) > 2
