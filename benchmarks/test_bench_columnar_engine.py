@@ -6,13 +6,16 @@ compares the two engines on identical cohorts at 1k/10k (and 100k with
 ``MINE_BENCH_FULL=1``) examinees × 50 questions, asserts they produce
 equal results, and measures the incremental ``add_sitting`` path that
 keeps a live analysis warm instead of recomputing from raw responses.
+It also prints the table that sets ``NUMPY_CROSSOVER_CELLS``: one full
+merge-and-analyse on the stdlib kernels against the numpy ones.
 """
 
 import os
 import random
 import time
 
-from repro.core.columnar import LiveCohortAnalysis
+from repro.core import kernels
+from repro.core.columnar import LiveCohortAnalysis, ResponseMatrix, merge_partials
 from repro.core.question_analysis import (
     ExamineeResponses,
     QuestionSpec,
@@ -39,13 +42,25 @@ SIZES = (1_000, 10_000) + (
 SPEEDUP_FLOOR = 5.0 if HAVE_NUMPY else 1.5
 
 
-def synth_cohort(size, seed=0):
+#: (examinees, questions, skip rate) rows of the kernel crossover table
+CROSSOVER_SHAPES = (
+    (240, 20, 0.0),
+    (240, 40, 0.75),
+    (1_000, 20, 0.0),
+    (2_000, 50, 0.0),
+    (5_000, 20, 0.0),
+    (4_000, 50, 0.0),
+    (10_000, 50, 0.0),
+)
+
+
+def synth_cohort(size, seed=0, questions=QUESTIONS, skip_rate=0.0):
     """A plain random cohort — cheap to generate, ability-correlated so
     the split and rules see realistic structure."""
     rng = random.Random(seed)
     specs = [
         QuestionSpec(options=OPTIONS, correct=rng.choice(OPTIONS))
-        for _ in range(QUESTIONS)
+        for _ in range(questions)
     ]
     correct = [spec.correct for spec in specs]
     responses = []
@@ -55,6 +70,11 @@ def synth_cohort(size, seed=0):
             key if rng.random() < p_correct else rng.choice(OPTIONS)
             for key in correct
         ]
+        if skip_rate:
+            selections = [
+                None if rng.random() < skip_rate else selection
+                for selection in selections
+            ]
         responses.append(ExamineeResponses.of(f"s{index:06d}", selections))
     return responses, specs
 
@@ -83,7 +103,8 @@ def test_bench_columnar_vs_reference(benchmark):
     for size in SIZES:
         responses, specs = datasets[size]
         # best-of-several with an untimed warm-up pass each: the assertion
-        # below must not flake on a transiently loaded machine
+        # below must not flake on a transiently loaded machine (the first
+        # cohort past the kernel crossover imports numpy in its warm-up)
         runs = 5 if size <= 10_000 else 1
         reference_analyze_cohort(responses, specs)
         ref = best_of(
@@ -104,6 +125,46 @@ def test_bench_columnar_vs_reference(benchmark):
     responses, specs = datasets[10_000]
     result = benchmark(lambda: analyze_cohort(responses, specs))
     assert len(result.questions) == QUESTIONS
+
+
+def test_bench_kernel_crossover(monkeypatch):
+    """One full merge-and-analyse of two shard partials on each kernel
+    set: the table ``NUMPY_CROSSOVER_CELLS`` is read from."""
+    crossover = kernels.NUMPY_CROSSOVER_CELLS
+    kernel_sets = {"stdlib": 1 << 62, "numpy": 0}  # crossover that forces each
+    lines = [
+        "shape (skip)      cells     stdlib      numpy   stdlib-numpy"
+    ]
+    for size, questions, skip_rate in CROSSOVER_SHAPES:
+        responses, specs = synth_cohort(size, 5, questions, skip_rate)
+        shards = (ResponseMatrix(specs), ResponseMatrix(specs))
+        shards[0].extend(responses[::2])
+        shards[1].extend(responses[1::2])
+        partials = [shard.export_partial() for shard in shards]
+        runs = 15 if size * questions <= 100_000 else 4
+        timings = {name: [] for name in kernel_sets}
+        results = {}
+        for name, forced in kernel_sets.items():  # untimed warm-up
+            monkeypatch.setattr(kernels, "NUMPY_CROSSOVER_CELLS", forced)
+            results[name] = merge_partials(specs, partials).analyze()
+        assert results["stdlib"] == results["numpy"]
+        for _ in range(runs):  # alternate, so load drift hits both sets
+            for name, forced in kernel_sets.items():
+                monkeypatch.setattr(kernels, "NUMPY_CROSSOVER_CELLS", forced)
+                start = time.perf_counter()
+                merge_partials(specs, partials).analyze()
+                timings[name].append(time.perf_counter() - start)
+        stdlib, numpy_ = min(timings["stdlib"]), min(timings["numpy"])
+        shape = f"{size}x{questions}" + (f" ({skip_rate:.0%})" if skip_rate else "")
+        lines.append(
+            f"{shape:<15} {size * questions:>7}   {stdlib * 1000:>6.2f} ms"
+            f"  {numpy_ * 1000:>6.2f} ms   {(stdlib - numpy_) * 1000:>+7.2f} ms"
+        )
+    show(
+        "Kernel sets: merge two partials and analyse "
+        f"(NUMPY_CROSSOVER_CELLS = {crossover})",
+        "\n".join(lines),
+    )
 
 
 def test_bench_columnar_incremental(benchmark):

@@ -30,13 +30,6 @@ from repro.core.metadata import MineMetadata
 from repro.core.report import build_report
 from repro.core.rules import OptionMatrix, evaluate_rules
 from repro.core.spec_table import SpecificationTable, TaggedQuestion
-from repro.scorm.package import ContentPackage, package_exam
-from repro.sim.population import make_population
-from repro.sim.workloads import (
-    classroom_exam,
-    classroom_parameters,
-    simulate_sitting_data,
-)
 
 __all__ = ["main", "build_parser"]
 
@@ -372,6 +365,13 @@ def _cmd_rules(_args) -> int:
 
 def _build_simulated_report(args):
     """Shared by simulate/export: run the classroom scenario."""
+    from repro.sim.population import make_population
+    from repro.sim.workloads import (
+        classroom_exam,
+        classroom_parameters,
+        simulate_sitting_data,
+    )
+
     exam = classroom_exam(args.questions)
     parameters = classroom_parameters(args.questions)
     learners = make_population(args.students, seed=args.seed)
@@ -440,6 +440,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_paper(args) -> int:
     from repro.exams.render import render_answer_key, render_exam_paper
+    from repro.sim.workloads import classroom_exam
 
     exam = classroom_exam(args.questions)
     if args.key:
@@ -450,6 +451,9 @@ def _cmd_paper(args) -> int:
 
 
 def _cmd_package(args) -> int:
+    from repro.scorm.package import package_exam
+    from repro.sim.workloads import classroom_exam
+
     exam = classroom_exam(args.questions)
     payload = package_exam(exam, args.out)
     print(f"wrote {args.out} ({len(payload)} bytes, {len(exam.items)} items)")
@@ -457,6 +461,8 @@ def _cmd_package(args) -> int:
 
 
 def _cmd_inspect(args) -> int:
+    from repro.scorm.package import ContentPackage
+
     try:
         package = ContentPackage.from_file(args.package)
     except Exception as exc:  # surface any packaging error to the operator

@@ -13,9 +13,10 @@ This module keeps the *exact same semantics* in a columnar layout:
 * the whole cohort lives in one contiguous row-major ``bytearray``
   (:class:`ResponseMatrix`), so a question's column is a C-speed stride
   slice and a sitting's row is a Q-byte append;
-* scores, the high/low split, and every option matrix come out of a
-  single fused sweep over the codes — vectorized with numpy when it is
-  available, pure-stdlib (``bytes.translate`` + ``map``) otherwise;
+* scores, the high/low split, and every option matrix come out of
+  whole-column kernels over the codes (:mod:`repro.core.kernels`):
+  stdlib ``bytes`` kernels for served cohort sizes, numpy ones past a
+  measured crossover;
 * the per-question arithmetic (PH, PL, D, P, rules, signals, advice) is
   delegated to the same :func:`~repro.core.question_analysis.analyze_matrix`
   the reference engine uses, so the floats are bit-identical by
@@ -32,13 +33,15 @@ recomputing from raw responses every time.
 from __future__ import annotations
 
 import base64
+import sys
 from itertools import chain as _chain, cycle as _cycle
-from operator import add as _add, attrgetter as _attrgetter, getitem as _getitem
+from operator import attrgetter as _attrgetter, eq as _eq, getitem as _getitem
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.errors import AnalysisError, EmptyCohortError
 from repro.core.grouping import GroupSplit
+from repro.core.kernels import SKIP, UNSEEN, kernels_for
 from repro.core.question_analysis import (
     CohortAnalysis,
     ExamineeResponses,
@@ -49,11 +52,6 @@ from repro.core.question_analysis import (
 from repro.core.rules import DEFAULT_SPREAD_THRESHOLD, OptionMatrix
 from repro.core.signals import DEFAULT_POLICY, SignalPolicy
 
-try:  # numpy accelerates the fused sweep; the stdlib path is kept working
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
 __all__ = [
     "SKIP",
     "MAX_OPTION_CODES",
@@ -63,12 +61,12 @@ __all__ = [
     "merge_partials",
 ]
 
-#: Interned code for a skipped question (``selections[i] is None``).
-SKIP = 0xFF
-
 #: Distinct labels (options + stray unknown selections) a question can
 #: intern: one byte per cell minus the skip sentinel.
 MAX_OPTION_CODES = 0xFF
+
+#: ``_vector_encode``'s starting table: no byte is a label yet
+_UNSEEN_TABLE = bytes((UNSEEN,)) * 256
 
 _selections_of = _attrgetter("selections")
 _id_of = _attrgetter("examinee_id")
@@ -134,7 +132,7 @@ class ResponseMatrix:
         cls,
         questions: Sequence[QuestionSpec],
         examinee_ids: Sequence[str],
-        codes: "bytes | bytearray | memoryview | _np.ndarray",
+        codes: "bytes | bytearray | memoryview | numpy.ndarray",
     ) -> "ResponseMatrix":
         """Build a matrix straight from pre-encoded option codes.
 
@@ -154,24 +152,26 @@ class ResponseMatrix:
     def extend_codes(
         self,
         examinee_ids: Sequence[str],
-        codes: "bytes | bytearray | memoryview | _np.ndarray",
+        codes: "bytes | bytearray | memoryview | numpy.ndarray",
     ) -> None:
         """Bulk-append pre-encoded rows (the array-native ``extend``).
 
         Validates shape, duplicate ids, and that every code is either one
         of its question's option indices or :data:`SKIP` — stray labels
         have no code representation, so unlike :meth:`extend` nothing is
-        interned here.  Scores are computed in the same fused pass used
-        by :meth:`extend`.
+        interned here.  Scores come from the same kernel :meth:`extend`
+        uses.
         """
         ids = list(examinee_ids)
-        if _np is not None and isinstance(codes, _np.ndarray):
+        # an ndarray exists only once numpy is imported: look, never load
+        numpy = sys.modules.get("numpy")
+        if numpy is not None and isinstance(codes, numpy.ndarray):
             if codes.ndim == 2 and codes.shape[1] != self.width:
                 raise AnalysisError(
                     f"code matrix has {codes.shape[1]} questions; "
                     f"exam has {self.width}"
                 )
-            buffer = codes.astype(_np.uint8, copy=False).tobytes()
+            buffer = codes.astype(numpy.uint8, copy=False).tobytes()
         else:
             buffer = bytes(codes)
         if not ids and not buffer:
@@ -192,42 +192,22 @@ class ResponseMatrix:
                         f"duplicate examinee id {identifier!r} in cohort"
                     )
                 seen.add(identifier)
-        self._validate_codes(buffer, ids)
+        known = [len(spec.options) for spec in self.questions]
+        kernels = kernels_for(len(buffer))
+        offender = kernels.first_invalid(buffer, self.width, known)
+        if offender is not None:
+            row, question = divmod(offender, self.width)
+            raise AnalysisError(
+                f"examinee {ids[row]!r} has code {buffer[offender]}"
+                f" on question {question + 1}, which has only "
+                f"{known[question]} options"
+            )
         base = len(self.examinee_ids)
         self._codes.extend(buffer)
         self.examinee_ids.extend(ids)
         self._row_of.update(zip(ids, range(base, base + len(ids))))
-        self.scores.extend(self._bulk_scores(buffer, len(ids)))
-
-    def _validate_codes(self, buffer: bytes, ids: Sequence[str]) -> None:
-        """Every cell must be an option index of its question or SKIP."""
-        known = [len(spec.options) for spec in self.questions]
-        if _np is not None:
-            arr = _np.frombuffer(buffer, dtype=_np.uint8)
-            arr = arr.reshape(len(ids), self.width)
-            bad = (arr >= _np.array(known, dtype=_np.uint8)[None, :]) & (
-                arr != SKIP
-            )
-            if not bad.any():
-                return
-            row, question = map(int, _np.argwhere(bad)[0])
-        else:
-            width = self.width
-            offender = next(
-                (
-                    index
-                    for index, code in enumerate(buffer)
-                    if code != SKIP and code >= known[index % width]
-                ),
-                None,
-            )
-            if offender is None:
-                return
-            row, question = divmod(offender, width)
-        raise AnalysisError(
-            f"examinee {ids[row]!r} has code {buffer[row * self.width + question]}"
-            f" on question {question + 1}, which has only "
-            f"{known[question]} options"
+        self.scores.extend(
+            kernels.scores(buffer, len(ids), self.width, self._correct)
         )
 
     # -- ingestion -----------------------------------------------------------
@@ -286,9 +266,7 @@ class ResponseMatrix:
         """
         self._check_new(response)
         row = self._encode(response)
-        score = sum(
-            1 for code, key in zip(row, self._correct) if code == key
-        )
+        score = sum(map(_eq, row, self._correct))
         index = len(self.examinee_ids)
         self._codes.extend(row)
         self.examinee_ids.append(response.examinee_id)
@@ -297,7 +275,8 @@ class ResponseMatrix:
         return index
 
     def extend(self, responses: Sequence[ExamineeResponses]) -> None:
-        """Bulk-ingest a cohort: validate everything, then one fused pass.
+        """Bulk-ingest a cohort: validate everything, then encode and score
+        the whole batch with the kernels.
 
         Validation order matches the reference engine: every width is
         checked before any scoring happens, then duplicate ids.  Both
@@ -331,14 +310,17 @@ class ResponseMatrix:
         self._codes.extend(joined)
         self.examinee_ids.extend(ids)
         self._row_of.update(zip(ids, range(base, base + len(ids))))
-        self.scores.extend(self._bulk_scores(joined, len(ids)))
+        self.scores.extend(
+            kernels_for(len(joined)).scores(
+                joined, len(ids), self.width, self._correct
+            )
+        )
 
     def _bulk_encode(self, selections: Sequence[Sequence[Optional[str]]]) -> bytes:
         """All rows' interned codes in one buffer, row-major."""
-        if _np is not None and len(selections) * self.width >= 2048:
-            joined = self._vector_encode(selections)
-            if joined is not None:
-                return joined
+        joined = self._vector_encode(selections)
+        if joined is not None:
+            return joined
         try:
             # every row has exactly `width` cells (validated by extend),
             # so the interning tables cycle in lockstep with the
@@ -355,24 +337,20 @@ class ResponseMatrix:
             # per-row encoding, which interns the stray labels
             return b"".join(map(self._encode_row, selections))
 
-    #: `_vector_encode` marker for "label not in this question's table";
-    #: distinct from any real code because interning stops at 0xFE labels
-    _UNSEEN = 0xFE
-
     def _vector_encode(
         self, selections: Sequence[Sequence[Optional[str]]]
     ) -> Optional[bytes]:
-        """Vectorized encode for the common case: single-character ASCII
-        labels and no skips.
+        """Whole-cohort encode for the common case: single-character
+        ASCII labels and no skips.
 
-        The whole cohort flattens with two C-level ``str.join`` passes;
-        the ASCII bytes then index a per-question lookup table in one
-        numpy gather — no per-cell Python dispatch at all.  Returns
-        ``None`` whenever the cohort does not fit the fast shape (a
-        skipped answer, a multi-character or non-ASCII label, a label
-        that still needs interning), and the caller falls back.
+        The cohort flattens with two C-level ``str.join`` passes into one
+        byte per cell; the encode kernel then maps each column through
+        its question's 256-byte table — no per-cell Python dispatch at
+        all.  Returns ``None`` whenever the cohort does not fit the fast
+        shape (a skipped answer, a multi-character or non-ASCII label, a
+        label that still needs interning), and the caller falls back.
         """
-        if any(len(labels) >= self._UNSEEN for labels in self._labels):
+        if any(len(table) > UNSEEN for table in self._tables):
             return None  # a real code could collide with the marker
         try:
             flat = "".join(map("".join, selections))
@@ -384,44 +362,14 @@ class ResponseMatrix:
         raw = flat.encode()
         if len(raw) != total:
             return None  # non-ASCII labels
-        lut = _np.full((self.width, 128), self._UNSEEN, _np.uint8)
-        for question, table in enumerate(self._tables):
+        luts = []
+        for table in self._tables:
+            lut = bytearray(_UNSEEN_TABLE)
             for label, code in table.items():
-                if label is not None and len(label) == 1 and ord(label) < 128:
-                    lut[question, ord(label)] = code
-        # flat gather: shift each column's codepoints into its question's
-        # 128-wide stripe of the flattened table (`take` beats 2-d fancy
-        # indexing by ~3x here)
-        points = _np.frombuffer(raw, dtype=_np.uint8)
-        points = points.reshape(len(selections), self.width)
-        # int64 offsets: uint16 would wrap past 512 questions (512*128)
-        # and silently gather through other questions' stripes
-        points = points.astype(_np.int64) + (
-            _np.arange(self.width, dtype=_np.int64) * 128
-        )[None, :]
-        codes = lut.ravel().take(points.ravel())
-        if (codes == self._UNSEEN).any():
-            return None  # stray labels must be interned on the slow path
-        return codes.tobytes()
-
-    def _bulk_scores(self, joined: bytes, count: int) -> List[int]:
-        """Scores for freshly encoded rows, one vectorized pass."""
-        if not count:
-            return []
-        if _np is not None:
-            arr = _np.frombuffer(joined, dtype=_np.uint8)
-            arr = arr.reshape(count, self.width)
-            key = _np.array(self._correct, dtype=_np.uint8)
-            return (arr == key[None, :]).sum(axis=1).tolist()
-        # stdlib path: per question, translate the column to 0/1 and fold
-        # it into the running scores with a C-level map(add, ...)
-        scores = [0] * count
-        for question in range(self.width):
-            key = self._correct[question]
-            table = bytes(1 if code == key else 0 for code in range(256))
-            column = joined[question :: self.width].translate(table)
-            scores = list(map(_add, scores, column))
-        return scores
+                if label is not None and len(label) == 1 and label < "\x80":
+                    lut[ord(label)] = code
+            luts.append(bytes(lut))
+        return kernels_for(total).encode(raw, luts, self.width)
 
     def export_partial(self) -> Dict[str, object]:
         """This shard's cohort as a JSON-safe scatter-gather partial.
@@ -457,7 +405,7 @@ class ResponseMatrix:
             self._row_of[identifier] -= 1
         return True
 
-    # -- the fused analysis sweep -------------------------------------------
+    # -- the analysis sweep ---------------------------------------------------
 
     def analyze(
         self,
@@ -475,22 +423,33 @@ class ResponseMatrix:
         count = len(self.examinee_ids)
         if count == 0:
             raise EmptyCohortError("no examinee responses to analyse")
+        kernels = kernels_for(count * self.width)
         with obs.span(
-            "analyze.columnar", examinees=count, questions=self.width
+            "analyze.columnar",
+            examinees=count,
+            questions=self.width,
+            kernels=kernels.name,
         ):
-            return self._analyze_impl(split, policy, spread_threshold, count)
+            return self._analyze_impl(
+                kernels, split, policy, spread_threshold, count
+            )
 
     def _analyze_impl(
         self,
+        kernels,
         split: GroupSplit,
         policy: SignalPolicy,
         spread_threshold: float,
         count: int,
     ) -> CohortAnalysis:
-        scores = self.scores
-        high_idx, low_idx = self._split_indices(split, count)
-        high_counts = self._group_counts(high_idx)
-        low_counts = self._group_counts(low_idx)
+        high_idx, low_idx = self._split_indices(kernels, split, count)
+        sizes = list(map(len, self._labels))
+        high_counts = kernels.group_counts(
+            self._codes, self.width, high_idx, sizes
+        )
+        low_counts = kernels.group_counts(
+            self._codes, self.width, low_idx, sizes
+        )
 
         analyses: List[QuestionAnalysis] = []
         for index, spec in enumerate(self.questions):
@@ -499,14 +458,8 @@ class ResponseMatrix:
             self._check_unknown(index, low_counts[index], low_idx, known)
             matrix = OptionMatrix(
                 options=spec.options,
-                high={
-                    option: int(high_counts[index][code])
-                    for code, option in enumerate(spec.options)
-                },
-                low={
-                    option: int(low_counts[index][code])
-                    for code, option in enumerate(spec.options)
-                },
+                high=dict(zip(spec.options, high_counts[index])),
+                low=dict(zip(spec.options, low_counts[index])),
                 correct=spec.correct,
             )
             analyses.append(
@@ -523,56 +476,23 @@ class ResponseMatrix:
             questions=analyses,
             high_group=[self.examinee_ids[i] for i in high_idx],
             low_group=[self.examinee_ids[i] for i in low_idx],
-            scores=dict(zip(self.examinee_ids, scores)),
+            scores=dict(zip(self.examinee_ids, self.scores)),
         )
 
     def _split_indices(
-        self, split: GroupSplit, count: int
+        self, kernels, split: GroupSplit, count: int
     ) -> Tuple[List[int], List[int]]:
         """High/low row indices, exactly as ``GroupSplit.split`` orders them.
 
         ``GroupSplit`` sorts by ``(-score, index)``; a stable descending
         sort on the score alone is the same ordering (equal scores keep
-        their original index order), which lets the fast path skip the
-        per-element key tuples — or hand the whole sort to numpy.  Any
-        subclass with its own ``split`` keeps its behavior via the
-        fallback.
+        their original index order), which lets the split kernel skip
+        the per-element key tuples.  Any subclass with its own ``split``
+        keeps its behavior via the fallback.
         """
         if split.__class__ is not GroupSplit:
             return split.split(range(count), self.scores.__getitem__)
-        size = split.group_size(count)
-        if _np is not None:
-            order = _np.argsort(
-                -_np.asarray(self.scores, dtype=_np.int64), kind="stable"
-            )
-            return order[:size].tolist(), order[-size:].tolist()
-        order = sorted(
-            range(count), key=self.scores.__getitem__, reverse=True
-        )
-        return order[:size], order[-size:]
-
-    def _group_counts(self, indices: Sequence[int]) -> List[Sequence[int]]:
-        """Per question: selection counts per code over the group rows."""
-        width = self.width
-        if _np is not None:
-            arr = _np.frombuffer(self._codes, dtype=_np.uint8)
-            arr = arr.reshape(len(self.examinee_ids), width)
-            sub = arr[_np.asarray(indices, dtype=_np.intp)]
-            # shift each column into its own 256-wide bucket range so one
-            # bincount counts every (question, code) pair at once
-            offsets = sub.astype(_np.int64) + (
-                _np.arange(width, dtype=_np.int64) * 256
-            )[None, :]
-            counts = _np.bincount(offsets.ravel(), minlength=width * 256)
-            return counts.reshape(width, 256)
-        counts: List[Sequence[int]] = []
-        for question in range(width):
-            column = self._codes[question::width]
-            per_code = [0] * 256
-            for row in indices:
-                per_code[column[row]] += 1
-            counts.append(per_code)
-        return counts
+        return kernels.split(self.scores, split.group_size(count))
 
     def _check_unknown(
         self,
@@ -582,11 +502,9 @@ class ResponseMatrix:
         known: int,
     ) -> None:
         """Raise like the reference engine when a group member selected a
-        label outside the question's options."""
-        stray = code_counts[known:SKIP]
-        if not (stray.any() if _np is not None and isinstance(
-            stray, _np.ndarray
-        ) else any(stray)):
+        label outside the question's options (``code_counts`` runs past
+        ``known`` only on a question that interned a stray label)."""
+        if not any(code_counts[known:]):
             return
         width = self.width
         column = self._codes[question_index::width]
@@ -605,7 +523,7 @@ class LiveCohortAnalysis:
 
     The LMS monitor and delivery layer call :meth:`add_sitting` as each
     submission grades; :meth:`analysis` serves the current
-    :class:`CohortAnalysis` from cache, re-running only the fused columnar
+    :class:`CohortAnalysis` from cache, re-running only the columnar
     sweep (split + counts) when the cohort changed — the interning and
     scoring work done at ingest time is never repeated, so keeping an
     analysis warm is far cheaper than recomputing from raw responses.
@@ -646,7 +564,7 @@ class LiveCohortAnalysis:
     def extend_codes(
         self,
         examinee_ids: Sequence[str],
-        codes: "bytes | bytearray | memoryview | _np.ndarray",
+        codes: "bytes | bytearray | memoryview | numpy.ndarray",
     ) -> None:
         """Fold a pre-encoded shard in (see :meth:`ResponseMatrix.extend_codes`).
 

@@ -16,12 +16,15 @@ package is that serving layer, dependency-free (stdlib ``http.server``):
 
 See ``docs/server.md`` for the endpoint table and JSON schemas, and
 ``mine-assess serve`` / ``mine-assess loadgen`` for the CLI front ends.
+The load generator's names load on first access, so a serving process
+never imports it or the simulation models behind it.
 """
+
+from typing import TYPE_CHECKING
 
 from repro.server.app import ExamServer
 from repro.server.errors import ApiError, api_error_from_exception
 from repro.server.handlers import ServerContext, build_router
-from repro.server.loadgen import LoadgenReport, run_loadgen
 from repro.server.router import Route, RouteMatch, Router
 from repro.server.serialize import analysis_to_dict
 
@@ -38,3 +41,15 @@ __all__ = [
     "Router",
     "analysis_to_dict",
 ]
+
+
+def __getattr__(name):
+    if name in ("LoadgenReport", "run_loadgen"):
+        from repro.server import loadgen
+
+        return getattr(loadgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+if TYPE_CHECKING:  # pragma: no cover - static-analysis eyes only
+    from repro.server.loadgen import LoadgenReport, run_loadgen  # noqa: F401

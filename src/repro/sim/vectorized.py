@@ -52,6 +52,7 @@ from repro import obs
 from repro.core.columnar import SKIP, ResponseMatrix
 from repro.core.errors import AnalysisError
 from repro.core.grouping import GroupSplit
+from repro.core.kernels import load_numpy
 from repro.core.question_analysis import ExamineeResponses, QuestionSpec
 from repro.exams.exam import Exam
 from repro.sim.learner_model import (
@@ -60,10 +61,9 @@ from repro.sim.learner_model import (
     probability_correct,
 )
 
-try:  # numpy is the fast path; the stdlib fallback stays fully working
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
+# numpy is the fast path (the stdlib fallback stays fully working); this
+# module is the batch engine, so it loads numpy as it loads
+_np = load_numpy()
 
 #: Whether the vectorized backend is available (else the stdlib fallback
 #: generates the same array-native outputs at scalar speed).

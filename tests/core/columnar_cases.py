@@ -4,12 +4,19 @@ The differential, property, and golden suites all need randomized but
 reproducible cohorts with controllable shape: size, option count, skip
 rate, and tie-heaviness (many examinees on few distinct scores, which
 stresses the stable tie-breaking of the high/low split).
+
+They also run the engine on each kernel set by name rather than by
+cohort size (:func:`kernel_set`, :func:`on_each_kernel_set`), so the
+numpy kernels are checked on small cohorts and the stdlib ones on large.
 """
 
 import random
 import string
+import sys
+from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
+from repro.core import kernels
 from repro.core.question_analysis import ExamineeResponses, QuestionSpec
 
 OPTION_ALPHABET = string.ascii_uppercase
@@ -58,3 +65,30 @@ def make_random_cohort(
                 selections.append(rng.choice(spec.options))
         responses.append(ExamineeResponses.of(f"s{index:05d}", selections))
     return responses, specs
+
+
+#: kernel set -> the crossover that makes every call run on it (where
+#: numpy is missing, "numpy" runs the stdlib set, as serving would)
+KERNEL_SETS = {"stdlib": sys.maxsize, "numpy": 0}
+
+
+@contextmanager
+def kernel_set(name):
+    """Run the columnar engine on kernel set ``name`` at any cohort size."""
+    saved = kernels.NUMPY_CROSSOVER_CELLS
+    kernels.NUMPY_CROSSOVER_CELLS = KERNEL_SETS[name]
+    try:
+        yield
+    finally:
+        kernels.NUMPY_CROSSOVER_CELLS = saved
+
+
+def on_each_kernel_set(run):
+    """``run()`` once per kernel set; the results must be equal, and the
+    one result is returned."""
+    results = []
+    for name in KERNEL_SETS:
+        with kernel_set(name):
+            results.append(run())
+    assert results[0] == results[1]
+    return results[0]

@@ -4,12 +4,20 @@ and signal colors — on randomized cohorts.
 
 This is the correctness story for ``repro.core.columnar``: any drift
 between ``analyze_cohort`` and ``reference_analyze_cohort`` fails here
-before it can reach the delivery, simulation, or LMS layers.
+before it can reach the delivery, simulation, or LMS layers.  Every
+columnar run happens once per kernel set, chosen by name, so both sets
+are held to the reference at every cohort size.
 """
 
 import pytest
-from columnar_cases import make_random_cohort
+from columnar_cases import (
+    KERNEL_SETS,
+    kernel_set,
+    make_random_cohort,
+    on_each_kernel_set,
+)
 
+from repro.core import kernels
 from repro.core.columnar import LiveCohortAnalysis, ResponseMatrix
 from repro.core.errors import AnalysisError, EmptyCohortError
 from repro.core.grouping import GroupSplit
@@ -55,7 +63,9 @@ COHORT_CASES = [
 
 def both_engines(responses, specs, fraction=0.25):
     split = GroupSplit(fraction=fraction)
-    fast = analyze_cohort(responses, specs, split=split)
+    fast = on_each_kernel_set(
+        lambda: analyze_cohort(responses, specs, split=split)
+    )
     reference = reference_analyze_cohort(responses, specs, split=split)
     return fast, reference
 
@@ -105,11 +115,23 @@ def test_engines_bit_identical(
 @pytest.mark.parametrize("seed", [30, 31])
 def test_engines_agree_across_spread_thresholds(seed, spread_threshold):
     responses, specs = make_random_cohort(seed, 48, 6, 4, 0.1, True)
-    fast = analyze_cohort(responses, specs, spread_threshold=spread_threshold)
+    fast = on_each_kernel_set(
+        lambda: analyze_cohort(
+            responses, specs, spread_threshold=spread_threshold
+        )
+    )
     reference = reference_analyze_cohort(
         responses, specs, spread_threshold=spread_threshold
     )
     assert fast == reference
+
+
+def engines():
+    """The reference engine, then the columnar one on each kernel set."""
+    yield reference_analyze_cohort
+    for name in KERNEL_SETS:
+        with kernel_set(name):
+            yield analyze_cohort
 
 
 class TestErrorParity:
@@ -117,13 +139,13 @@ class TestErrorParity:
 
     def test_empty_cohort(self):
         specs = [QuestionSpec(options=("A", "B"), correct="A")]
-        for analyze in (analyze_cohort, reference_analyze_cohort):
+        for analyze in engines():
             with pytest.raises(EmptyCohortError):
                 analyze([], specs)
 
     def test_no_questions(self):
         responses = [ExamineeResponses.of("s1", [])]
-        for analyze in (analyze_cohort, reference_analyze_cohort):
+        for analyze in engines():
             with pytest.raises(AnalysisError):
                 analyze(responses, [])
 
@@ -132,7 +154,7 @@ class TestErrorParity:
         responses = [
             ExamineeResponses.of(f"s{i}", ["A", "B", "A"]) for i in range(7)
         ] + [ExamineeResponses.of("short", ["A"])]
-        for analyze in (analyze_cohort, reference_analyze_cohort):
+        for analyze in engines():
             with pytest.raises(AnalysisError, match="answered 1 questions"):
                 analyze(responses, specs)
 
@@ -141,7 +163,7 @@ class TestErrorParity:
         responses = [
             ExamineeResponses.of(f"s{i}", ["A"]) for i in range(7)
         ] + [ExamineeResponses.of("s0", ["B"])]
-        for analyze in (analyze_cohort, reference_analyze_cohort):
+        for analyze in engines():
             with pytest.raises(AnalysisError, match="duplicate examinee id"):
                 analyze(responses, specs)
 
@@ -150,7 +172,7 @@ class TestErrorParity:
         responses = [
             ExamineeResponses.of(f"s{i}", ["Z"]) for i in range(8)
         ]
-        for analyze in (analyze_cohort, reference_analyze_cohort):
+        for analyze in engines():
             with pytest.raises(AnalysisError, match="unknown option 'Z'"):
                 analyze(responses, specs)
 
@@ -198,6 +220,16 @@ class TestCapacityFallback:
             ResponseMatrix([QuestionSpec(options=options, correct="o0")])
 
 
+def fresh(live):
+    """A run of ``live``'s analysis that recomputes it (not the cache)."""
+
+    def run():
+        live.invalidate()
+        return live.analysis()
+
+    return run
+
+
 class TestIncrementalDifferential:
     """The live analyzer must track the from-scratch result at every step."""
 
@@ -208,7 +240,7 @@ class TestIncrementalDifferential:
             live.add_sitting(response)
             if count >= 8:  # enough for a 25% split
                 expected = reference_analyze_cohort(responses[:count], specs)
-                assert live.analysis() == expected
+                assert on_each_kernel_set(fresh(live)) == expected
 
     def test_invalidate_matches_recompute_without_examinee(self):
         responses, specs = make_random_cohort(51, 30, 4, 4, 0.0, False)
@@ -219,7 +251,9 @@ class TestIncrementalDifferential:
         assert live.invalidate(dropped) is True
         assert dropped not in live
         remaining = [r for r in responses if r.examinee_id != dropped]
-        assert live.analysis() == reference_analyze_cohort(remaining, specs)
+        assert on_each_kernel_set(fresh(live)) == reference_analyze_cohort(
+            remaining, specs
+        )
 
     def test_invalidate_unknown_id_is_a_noop(self):
         responses, specs = make_random_cohort(52, 12, 2, 3, 0.0, False)
@@ -241,7 +275,7 @@ class TestIncrementalDifferential:
         live.invalidate(resat.examinee_id)
         live.add_sitting(resat)
         expected = reference_analyze_cohort(responses[1:] + [resat], specs)
-        assert live.analysis() == expected
+        assert on_each_kernel_set(fresh(live)) == expected
 
     def test_live_rejects_ragged_and_duplicate_sittings(self):
         responses, specs = make_random_cohort(54, 10, 3, 4, 0.0, False)
@@ -266,30 +300,32 @@ class TestIncrementalDifferential:
 
 
 class TestStdlibFallback:
-    """The columnar engine must stay bit-identical without numpy: the
-    pure-stdlib sweep (translate + map) replaces every vectorized kernel
-    when ``repro.core.columnar._np`` is None."""
+    """The columnar engine must stay bit-identical without numpy: a call
+    past the crossover runs the stdlib kernels when ``load_numpy`` finds
+    no numpy, and nothing else changes."""
 
     FALLBACK_CASES = [0, 3, 6, 8, 19, 23]  # indices into COHORT_CASES
 
-    @pytest.mark.parametrize("case", FALLBACK_CASES)
-    def test_engines_bit_identical_without_numpy(self, case, monkeypatch):
-        import repro.core.columnar as columnar
+    @pytest.fixture(autouse=True)
+    def no_numpy(self, monkeypatch):
+        # every call is past the crossover, and numpy is "not installed"
+        monkeypatch.setattr(kernels, "NUMPY_CROSSOVER_CELLS", 0)
+        monkeypatch.setattr(kernels, "load_numpy", lambda: None)
+        assert kernels.kernels_for(1) is kernels.STDLIB_KERNELS
 
-        monkeypatch.setattr(columnar, "_np", None)
+    @pytest.mark.parametrize("case", FALLBACK_CASES)
+    def test_engines_bit_identical_without_numpy(self, case):
         seed, size, questions, options, skip, ties, fraction = COHORT_CASES[
             case
         ]
         responses, specs = make_random_cohort(
             seed, size, questions, options, skip, ties
         )
-        fast, reference = both_engines(responses, specs, fraction)
-        assert fast == reference
+        split = GroupSplit(fraction=fraction)
+        fast = analyze_cohort(responses, specs, split=split)
+        assert fast == reference_analyze_cohort(responses, specs, split=split)
 
-    def test_incremental_without_numpy(self, monkeypatch):
-        import repro.core.columnar as columnar
-
-        monkeypatch.setattr(columnar, "_np", None)
+    def test_incremental_without_numpy(self):
         responses, specs = make_random_cohort(60, 30, 5, 4, 0.1, True)
         live = LiveCohortAnalysis(specs)
         for response in responses:
@@ -384,16 +420,14 @@ class TestVectorEncodeFallbacks:
         # regression: uint16 gather offsets wrapped past question 512
         # (512 * 128 = 65536), decoding wide exams through other
         # questions' interning tables and silently corrupting results
-        import repro.core.columnar as columnar
-
-        if columnar._np is None:  # pragma: no cover
-            pytest.skip("numpy unavailable")
         responses, specs = self._wide_heterogeneous_cohort()
         matrix = ResponseMatrix(specs)
         selections = [r.selections for r in responses]
-        encoded = matrix._vector_encode(selections)
-        assert encoded is not None  # the fast shape must actually engage
-        assert encoded == b"".join(map(matrix._encode_row, selections))
+        for name in KERNEL_SETS:
+            with kernel_set(name):
+                encoded = matrix._vector_encode(selections)
+            assert encoded is not None  # the fast shape must engage
+            assert encoded == b"".join(map(matrix._encode_row, selections))
 
     def test_wide_exam_engines_bit_identical(self):
         responses, specs = self._wide_heterogeneous_cohort()

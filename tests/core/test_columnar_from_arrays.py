@@ -3,7 +3,12 @@
 
 import pytest
 
-from columnar_cases import make_random_cohort
+from columnar_cases import (
+    KERNEL_SETS,
+    kernel_set,
+    make_random_cohort,
+    on_each_kernel_set,
+)
 
 from repro.core.columnar import SKIP, LiveCohortAnalysis, ResponseMatrix
 from repro.core.errors import AnalysisError
@@ -30,11 +35,16 @@ class TestFromArrays:
     def test_equals_object_ingestion(self):
         responses, specs = make_random_cohort(3, 60, 8, 5, 0.2, False)
         ids = [response.examinee_id for response in responses]
-        matrix = ResponseMatrix.from_arrays(
-            specs, ids, encode_cohort(responses, specs)
-        )
-        assert matrix.analyze() == analyze_cohort(responses, specs)
-        assert matrix.scores == [
+
+        def adopt():
+            matrix = ResponseMatrix.from_arrays(
+                specs, ids, encode_cohort(responses, specs)
+            )
+            return matrix.scores, matrix.analyze()
+
+        scores, analysis = on_each_kernel_set(adopt)
+        assert analysis == analyze_cohort(responses, specs)
+        assert scores == [
             sum(
                 1
                 for selection, spec in zip(response.selections, specs)
@@ -75,8 +85,27 @@ class TestFromArrays:
 
     def test_out_of_range_code_rejected(self):
         specs = [QuestionSpec(options=("A", "B", "C"), correct="A")]
-        with pytest.raises(AnalysisError, match="only 3 options"):
-            ResponseMatrix.from_arrays(specs, ["s1", "s2"], bytes([1, 3]))
+        for name in KERNEL_SETS:
+            with kernel_set(name), pytest.raises(
+                AnalysisError, match="only 3 options"
+            ):
+                ResponseMatrix.from_arrays(specs, ["s1", "s2"], bytes([1, 3]))
+
+    def test_first_bad_code_is_named_alike_on_each_kernel_set(self):
+        # the questions differ in option count, so no one bound fits the
+        # whole buffer; the first bad cell in row-major order is s2's
+        # code 5 on question 2, though s3 holds an earlier column's
+        specs = [
+            QuestionSpec(options=("A", "B"), correct="A"),
+            QuestionSpec(options=("A", "B", "C", "D"), correct="A"),
+        ]
+        codes = bytes([0, 3, 1, 5, 2, 1])
+        for name in KERNEL_SETS:
+            with kernel_set(name), pytest.raises(
+                AnalysisError,
+                match="'s2' has code 5 on question 2, which has only 4",
+            ):
+                ResponseMatrix.from_arrays(specs, ["s1", "s2", "s3"], codes)
 
     def test_skip_code_accepted(self):
         specs = [QuestionSpec(options=("A", "B"), correct="A")]

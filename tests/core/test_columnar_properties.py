@@ -10,6 +10,9 @@ Invariants from the paper:
   ``int(N × fraction)`` ≤ ``ceil(0.25·N)`` for the paper's split;
 * the split is stable under ties: boundary ties resolve by original
   cohort order, so equal inputs give identical groups.
+
+Every columnar run happens once per kernel set (``on_each_kernel_set``),
+which also asserts the two sets agree.
 """
 
 import math
@@ -18,7 +21,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from columnar_cases import make_random_cohort
+from columnar_cases import make_random_cohort, on_each_kernel_set
 
 from repro.core.grouping import GroupSplit
 from repro.core.question_analysis import (
@@ -45,7 +48,7 @@ def test_indices_invariants(shape):
     responses, specs = make_random_cohort(
         seed, size, questions, option_count, skip_rate, tie_heavy
     )
-    result = analyze_cohort(responses, specs)
+    result = on_each_kernel_set(lambda: analyze_cohort(responses, specs))
     for analysis in result.questions:
         # exact float identities, by construction of analyze_matrix
         assert analysis.discrimination == analysis.p_high - analysis.p_low
@@ -70,7 +73,9 @@ def test_grouping_invariants(shape, fraction):
         seed, size, questions, option_count, skip_rate, tie_heavy
     )
     split = GroupSplit(fraction=fraction)
-    result = analyze_cohort(responses, specs, split=split)
+    result = on_each_kernel_set(
+        lambda: analyze_cohort(responses, specs, split=split)
+    )
 
     expected_size = int(size * fraction)
     assert len(result.high_group) == expected_size
@@ -100,7 +105,7 @@ def test_scores_count_correct_selections(shape):
     responses, specs = make_random_cohort(
         seed, size, questions, option_count, skip_rate, tie_heavy
     )
-    result = analyze_cohort(responses, specs)
+    result = on_each_kernel_set(lambda: analyze_cohort(responses, specs))
     for response in responses:
         expected = sum(
             1
@@ -119,8 +124,8 @@ def test_tie_stability_under_reordering_is_deterministic(seed, size):
     """Shuffling then restoring the cohort order reproduces the groups:
     the split depends only on (score, original position)."""
     responses, specs = make_random_cohort(seed, size, 3, 3, 0.0, True)
-    first = analyze_cohort(responses, specs)
-    again = analyze_cohort(list(responses), specs)
+    first = on_each_kernel_set(lambda: analyze_cohort(responses, specs))
+    again = on_each_kernel_set(lambda: analyze_cohort(list(responses), specs))
     assert first.high_group == again.high_group
     assert first.low_group == again.low_group
 
@@ -128,7 +133,7 @@ def test_tie_stability_under_reordering_is_deterministic(seed, size):
     # the multiset of group *scores* is order-independent
     shuffled = list(responses)
     random.Random(seed ^ 0xBEEF).shuffle(shuffled)
-    reordered = analyze_cohort(shuffled, specs)
+    reordered = on_each_kernel_set(lambda: analyze_cohort(shuffled, specs))
     assert sorted(
         reordered.scores[i] for i in reordered.high_group
     ) == sorted(first.scores[i] for i in first.high_group)
@@ -144,7 +149,7 @@ def test_rule_4_implies_rule_3_and_option_sums_bound(shape):
     responses, specs = make_random_cohort(
         seed, size, questions, option_count, skip_rate, tie_heavy
     )
-    result = analyze_cohort(responses, specs)
+    result = on_each_kernel_set(lambda: analyze_cohort(responses, specs))
     group_size = len(result.high_group)
     for analysis in result.questions:
         if analysis.rules.rule_fired(4):
@@ -185,21 +190,25 @@ def test_extend_equals_repeated_add_sitting(shape, stray_rate):
             for response in responses
         ]
 
-    bulk = ResponseMatrix(specs)
-    bulk.extend(responses)
-    incremental = ResponseMatrix(specs)
-    for response in responses:
-        incremental.add_sitting(response)
+    def build_both():
+        bulk = ResponseMatrix(specs)
+        bulk.extend(responses)
+        incremental = ResponseMatrix(specs)
+        for response in responses:
+            incremental.add_sitting(response)
 
-    assert bytes(bulk._codes) == bytes(incremental._codes)
-    assert bulk.scores == incremental.scores
-    assert bulk.examinee_ids == incremental.examinee_ids
-    assert bulk._labels == incremental._labels
-    assert bulk._tables == incremental._tables
-    if not stray_rate:
-        # stray labels can make analyze() raise (by design, matching the
-        # reference engine); clean cohorts must analyze identically
-        assert bulk.analyze() == incremental.analyze()
+        assert bytes(bulk._codes) == bytes(incremental._codes)
+        assert bulk.scores == incremental.scores
+        assert bulk.examinee_ids == incremental.examinee_ids
+        assert bulk._labels == incremental._labels
+        assert bulk._tables == incremental._tables
+        if not stray_rate:
+            # stray labels can make analyze() raise (by design, matching
+            # the reference engine); clean cohorts analyze identically
+            assert bulk.analyze() == incremental.analyze()
+        return bytes(bulk._codes), bulk.scores, bulk._labels
+
+    on_each_kernel_set(build_both)
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,9 +1,13 @@
-"""Shared builders for the read-model suite.
+"""Builders shared by the read-model suite.
 
 The differential tests need an exam that exercises every scoring path
 the fold replicates: analyzable multiple-choice items (they feed the
 cohort matrix), a true/false item, and a non-analyzable essay (it
 contributes points but no matrix column).
+
+They live here, not in ``conftest.py``: pytest imports every directory's
+``conftest.py`` as the one module ``conftest``, so ``from conftest import
+...`` binds whichever directory's was imported last.
 """
 
 from repro.core.metadata import CognitionLevel

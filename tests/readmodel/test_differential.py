@@ -13,7 +13,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import journaled_lms, enroll_cohort
+from readmodel_helpers import journaled_lms, enroll_cohort
 
 from repro.core.errors import AnalysisError, AssessmentError, NotFoundError
 from repro.lms.learners import Learner

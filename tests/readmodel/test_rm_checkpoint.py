@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import journaled_lms, enroll_cohort
+from readmodel_helpers import journaled_lms, enroll_cohort
 
 from repro.core.errors import StoreError
 from repro.readmodel import (

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from conftest import journaled_lms, enroll_cohort
+from readmodel_helpers import journaled_lms, enroll_cohort
 
 from repro.readmodel import ReadModel, readmodel_files, rebuild, save_readmodel
 from repro.readmodel.service import ReadModelService

@@ -13,7 +13,7 @@ match the live ones exactly: item sequence, responses, and the full
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_exam, enroll_cohort
+from store_helpers import build_exam, enroll_cohort
 
 from repro.adaptive.online import AdaptivePolicy
 from repro.core.errors import AssessmentError

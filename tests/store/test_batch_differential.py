@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_exam, enroll_cohort
+from store_helpers import build_exam, enroll_cohort
 
 from repro.core.errors import AssessmentError
 from repro.delivery.clock import ManualClock

@@ -6,7 +6,7 @@ state.
 """
 
 import pytest
-from conftest import enroll_cohort, journaled_lms
+from store_helpers import enroll_cohort, journaled_lms
 
 from repro.delivery.clock import ManualClock
 from repro.lms.learners import Learner

@@ -11,7 +11,7 @@ import shutil
 import threading
 
 import pytest
-from conftest import enroll_cohort, journaled_lms
+from store_helpers import enroll_cohort, journaled_lms
 
 from repro.core.errors import StoreError
 from repro.delivery.clock import ManualClock

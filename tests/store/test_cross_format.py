@@ -15,7 +15,7 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_exam, enroll_cohort
+from store_helpers import build_exam, enroll_cohort
 from v1log import open_log
 
 from repro.core.errors import AssessmentError

@@ -12,6 +12,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from store_helpers import fingerprint_mismatches
 
 from repro.lms.persistence import load_payload
 from repro.store import (
@@ -31,7 +32,7 @@ def as_json(value):
 
 def expected():
     with open(GOLDEN / "fingerprint.json", encoding="utf-8") as handle:
-        return as_json(json.load(handle))
+        return json.load(handle)
 
 
 @pytest.fixture
@@ -61,7 +62,7 @@ def test_recover_reaches_the_committed_fingerprint(wal):
         report.checkpoint_path
     )["wal_lsn"]
     assert report.records_replayed > 0 and report.records_skipped > 0
-    assert as_json(state_fingerprint(report.lms)) == expected()
+    assert not fingerprint_mismatches(state_fingerprint(report.lms), expected())
 
 
 def test_a_new_checkpoint_over_it_recovers_to_the_same_state(wal):
@@ -74,4 +75,6 @@ def test_a_new_checkpoint_over_it_recovers_to_the_same_state(wal):
     text = result.path.read_text(encoding="utf-8")
     assert "\n" not in text
     assert json.dumps(json.loads(text), separators=(",", ":")) == text
-    assert as_json(state_fingerprint(recover(wal).lms)) == expected()
+    recovered = state_fingerprint(recover(wal).lms)
+    assert as_json(recovered) == as_json(state_fingerprint(report.lms))
+    assert not fingerprint_mismatches(recovered, expected())

@@ -13,6 +13,7 @@ import shutil
 from pathlib import Path
 
 import pytest
+from store_helpers import fingerprint_mismatches
 
 from repro.delivery.clock import ManualClock
 from repro.lms.lms import Lms
@@ -91,9 +92,10 @@ def test_the_lms_writes_every_event_in_code_form(tmp_path):
     codes = form_bytes(segment)
     assert set(codes) == set(EVENT_CODES.values())
     assert len(codes) == len(load("records.json"))
-    expected = as_json(load("fingerprint.json"))
-    assert as_json(state_fingerprint(lms)) == expected
-    assert as_json(state_fingerprint(recover(tmp_path).lms)) == expected
+    expected = load("fingerprint.json")
+    live = state_fingerprint(lms)
+    assert not fingerprint_mismatches(live, expected)
+    assert as_json(state_fingerprint(recover(tmp_path).lms)) == as_json(live)
 
 
 def test_scan_decodes_the_expected_records(wal):
@@ -110,9 +112,24 @@ def test_recover_reaches_the_committed_fingerprint(wal):
     report = recover(wal)
     assert report.records_replayed == len(load("records.json"))
     assert report.torn_bytes == 0
-    assert as_json(state_fingerprint(report.lms)) == as_json(
-        load("fingerprint.json")
+    assert not fingerprint_mismatches(
+        state_fingerprint(report.lms), load("fingerprint.json")
     )
+
+
+def test_a_theta_one_part_in_1e9_off_fails_the_fingerprint(wal):
+    """The float tolerance covers an ulp, not a real drift: moving the
+    adaptive sitting's theta by 1e-9 of itself is a mismatch."""
+    recovered = json.loads(json.dumps(state_fingerprint(recover(wal).lms)))
+    expected = load("fingerprint.json")
+    assert not fingerprint_mismatches(recovered, expected)
+    adaptive = recovered["sittings"]["amy:adaptive-quiz"]["adaptive"]
+    adaptive["theta"] *= 1 + 1e-9
+    assert fingerprint_mismatches(recovered, expected) == [
+        "fingerprint.sittings.amy:adaptive-quiz.adaptive.theta: "
+        f"{adaptive['theta']!r} != "
+        f"{expected['sittings']['amy:adaptive-quiz']['adaptive']['theta']!r}"
+    ]
 
 
 def test_open_seals_the_v2_tail_and_continues_in_v3(wal):

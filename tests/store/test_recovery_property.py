@@ -14,7 +14,7 @@ much garbage the caller threw at the live one.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_exam
+from store_helpers import build_exam
 
 from repro.core.errors import AssessmentError
 from repro.delivery.clock import ManualClock

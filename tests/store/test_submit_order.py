@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from conftest import build_exam, enroll_cohort
+from store_helpers import build_exam, enroll_cohort
 
 from repro.delivery.clock import ManualClock
 from repro.lms.lms import Lms
