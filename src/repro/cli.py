@@ -718,8 +718,8 @@ def _analytics_payload(models, exam_id):
     if exam_id is None:
         return payload
     from repro.core.errors import NotFoundError
+    from repro.core.export import analysis_to_dict
     from repro.readmodel.model import merge_summaries
-    from repro.server.serialize import analysis_to_dict
 
     holders = [
         model.exam(exam_id) for model in models if exam_id in model.exams

@@ -4,12 +4,12 @@ Every worker process holds one :class:`ClusterContext`.  The HTTP layer
 consults it on each request: per-learner routes whose learner hashes to
 another shard are **forwarded** verbatim to that shard's direct port
 (so any worker can serve any request — the kernel's ``SO_REUSEPORT``
-balancing never has to be right); cohort-level routes **scatter** an
-internal request to every peer and gather the per-shard payloads.
+balancing never has to be right); fleet routes **gather** from, or
+**broadcast** to, every peer's ``/internal/…`` leg of the same route
+(:func:`repro.server.handlers.build_router` derives those legs).
 
-Internal peer-to-peer routes (``…:partial``, ``…:local``,
-``/internal/…``) carry no learner affinity and are never re-forwarded,
-which is what keeps a scatter from recursing.
+The ``/internal/…`` legs carry no learner affinity and are never
+re-forwarded, which is what keeps a scatter from recursing.
 
 A dead peer surfaces as ``503 shard_unavailable`` with a small
 ``Retry-After`` — the supervisor's watchdog is restarting the shard and

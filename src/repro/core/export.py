@@ -13,25 +13,34 @@ import io
 import json
 from typing import Dict, List
 
+from repro.core.question_analysis import CohortAnalysis
 from repro.core.report import AssessmentReport
 
-__all__ = ["report_to_dict", "report_to_json", "number_representation_csv"]
+__all__ = [
+    "analysis_to_dict",
+    "report_to_dict",
+    "report_to_json",
+    "number_representation_csv",
+]
 
 
-def report_to_dict(report: AssessmentReport) -> Dict[str, object]:
-    """The full report as a JSON-compatible dict."""
+def analysis_to_dict(cohort: CohortAnalysis) -> Dict[str, object]:
+    """A :class:`CohortAnalysis` as a JSON-compatible dict: what the
+    served analyses answer and the report's ``questions`` part."""
     questions: List[Dict[str, object]] = []
-    for question in report.cohort.questions:
+    for question in cohort.questions:
         questions.append(
             {
                 "number": question.number,
                 "p_high": question.p_high,
                 "p_low": question.p_low,
-                "discrimination": question.discrimination,
                 "difficulty": question.difficulty,
+                "discrimination": question.discrimination,
                 "signal": question.signal.value,
                 "rules_fired": list(question.rules.fired_rules),
-                "statuses": [str(status) for status in question.rules.statuses],
+                "statuses": [
+                    str(status) for status in question.rules.statuses
+                ],
                 "advice": question.advice.render(),
                 "distraction": (
                     question.distraction.describe()
@@ -46,12 +55,19 @@ def report_to_dict(report: AssessmentReport) -> Dict[str, object]:
                 },
             }
         )
+    return {
+        "questions": questions,
+        "high_group": list(cohort.high_group),
+        "low_group": list(cohort.low_group),
+        "scores": dict(cohort.scores),
+    }
+
+
+def report_to_dict(report: AssessmentReport) -> Dict[str, object]:
+    """The full report as a JSON-compatible dict."""
     payload: Dict[str, object] = {
         "title": report.title,
-        "questions": questions,
-        "high_group": list(report.cohort.high_group),
-        "low_group": list(report.cohort.low_group),
-        "scores": dict(report.cohort.scores),
+        **analysis_to_dict(report.cohort),
     }
     if report.concept_rows:
         payload["concept_performance"] = [

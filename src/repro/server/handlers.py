@@ -14,13 +14,15 @@ are read-only.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
-from urllib.parse import parse_qs, urlencode
+from typing import Optional
+from urllib.parse import parse_qs
 
 from repro import obs
 from repro.bank.exambank import exam_from_record, exam_to_record
+from repro.core.errors import DuplicateIdError
 from repro.core.export import report_to_dict
 from repro.lms.learners import Learner
 from repro.lms.lms import Lms
@@ -56,8 +58,8 @@ class ServerContext:
     max_batch_answers: int = 500
     #: the worker's :class:`~repro.cluster.context.ClusterContext` in a
     #: sharded deployment; None means the classic single process.
-    #: Cohort-level handlers (analysis, results, roster) scatter-gather
-    #: across shards when this is set.
+    #: Fleet routes (see :func:`build_router`) span every shard when
+    #: this is set.
     cluster: Optional[object] = None
     #: the :class:`~repro.readmodel.service.ReadModelService` behind the
     #: ``/admin/analytics`` surface; None when ``--readmodel`` is off
@@ -120,23 +122,6 @@ _OFFER_SPEC = BodySpec(
 def _offer_exam(ctx: ServerContext, params, body, query):
     exam = exam_from_record(_OFFER_SPEC.validate(body))
     ctx.lms.offer_exam(exam)
-    if ctx.cluster is not None:
-        # the catalog is replicated: every shard must know the exam
-        # before its learners' requests arrive.  Peers already holding
-        # it answer 409, which broadcast() counts as success — offers
-        # are idempotent, so a retried broadcast converges.
-        import json as _json
-
-        ctx.cluster.broadcast(
-            "POST", "/internal/exams", _json.dumps(body).encode("utf-8")
-        )
-    return 201, {"exam_id": exam.exam_id, "items": len(exam.items)}
-
-
-def _offer_exam_local(ctx: ServerContext, params, body, query):
-    """The broadcast leg of an offer: apply here, never re-broadcast."""
-    exam = exam_from_record(_OFFER_SPEC.validate(body))
-    ctx.lms.offer_exam(exam)
     return 201, {"exam_id": exam.exam_id, "items": len(exam.items)}
 
 
@@ -186,23 +171,13 @@ def _enroll(ctx: ServerContext, params, body, query):
 def _roster(ctx: ServerContext, params, body, query):
     exam_id = params["exam_id"]
     ctx.lms.exam(exam_id)  # 404 for unknown exams, not an empty roster
-    enrolled = ctx.lms.enrolled(exam_id)
-    if ctx.cluster is not None:
-        # each shard only knows its own learners: union the fleet
-        merged = set(enrolled)
-        for partial in ctx.cluster.gather(
-            f"/internal/exams/{exam_id}/enrollments:local"
-        ):
-            merged.update(partial["enrolled"])
-        enrolled = sorted(merged)
-    return {"exam_id": exam_id, "enrolled": enrolled}
-
-
-def _roster_local(ctx: ServerContext, params, body, query):
-    """One shard's slice of the roster (the gather leg of ``_roster``)."""
-    exam_id = params["exam_id"]
-    ctx.lms.exam(exam_id)
     return {"exam_id": exam_id, "enrolled": ctx.lms.enrolled(exam_id)}
+
+
+def _merge_rosters(ctx: ServerContext, params, rosters):
+    # each shard only knows its own learners: union the fleet
+    enrolled = set().union(*(roster["enrolled"] for roster in rosters))
+    return {"exam_id": params["exam_id"], "enrolled": sorted(enrolled)}
 
 
 # -- sitting lifecycle --------------------------------------------------------
@@ -324,25 +299,6 @@ def _submit(ctx: ServerContext, params, body, query):
 def _results(ctx: ServerContext, params, body, query):
     exam_id = params["exam_id"]
     ctx.lms.exam(exam_id)
-    results = [
-        graded_to_dict(graded) for graded in ctx.lms.results_for(exam_id)
-    ]
-    if ctx.cluster is not None:
-        # per-shard lists are in local submission order; the merged view
-        # is put in canonical (learner id) order so it is a pure
-        # function of who submitted, not of shard layout
-        for partial in ctx.cluster.gather(
-            f"/internal/exams/{exam_id}/results:local"
-        ):
-            results.extend(partial["results"])
-        results.sort(key=lambda graded: graded["learner_id"])
-    return {"exam_id": exam_id, "results": results}
-
-
-def _results_local(ctx: ServerContext, params, body, query):
-    """One shard's graded sittings (the gather leg of ``_results``)."""
-    exam_id = params["exam_id"]
-    ctx.lms.exam(exam_id)
     return {
         "exam_id": exam_id,
         "results": [
@@ -351,33 +307,35 @@ def _results_local(ctx: ServerContext, params, body, query):
     }
 
 
-def _gathered_analysis(ctx: ServerContext, exam, partial, path: str):
-    """Scatter-gather: merge this shard's cohort partial with every
-    peer's (from ``path``); the merge (canonical learner order) analyzes
-    bit-identically to a single process that held the whole cohort."""
-    from repro.core.columnar import merge_partials
-
-    partials = [partial] + ctx.cluster.gather(path)
-    return analysis_to_dict(
-        merge_partials(exam.question_specs(), partials).analyze()
-    )
+def _merge_results(ctx: ServerContext, params, shards):
+    # per-shard lists are in local submission order; the merged view
+    # is put in canonical (learner id) order so it is a pure function
+    # of who submitted, not of shard layout
+    results = [graded for shard in shards for graded in shard["results"]]
+    results.sort(key=lambda graded: graded["learner_id"])
+    return {"exam_id": params["exam_id"], "results": results}
 
 
 def _analysis(ctx: ServerContext, params, body, query):
-    exam_id = params["exam_id"]
-    if ctx.cluster is None:
-        return analysis_to_dict(ctx.lms.live_analysis(exam_id))
-    return _gathered_analysis(
-        ctx,
-        ctx.lms.exam(exam_id),
-        ctx.lms.analysis_partial(exam_id),
-        f"/internal/exams/{exam_id}/analysis:partial",
-    )
+    return analysis_to_dict(ctx.lms.live_analysis(params["exam_id"]))
 
 
 def _analysis_partial(ctx: ServerContext, params, body, query):
-    """This shard's columnar partial (the gather leg of ``_analysis``)."""
+    """This shard's columnar partial of the exam's cohort."""
     return ctx.lms.analysis_partial(params["exam_id"])
+
+
+def _merge_analysis(ctx: ServerContext, params, partials):
+    """Merge every shard's cohort partial: the merge (canonical learner
+    order) analyzes bit-identically to a single process that held the
+    whole cohort.  When the query time-travels, each read-model partial
+    carries its shard's ``as_of`` coordinates, and this shard's wrap
+    the answer."""
+    from repro.core.columnar import merge_partials
+
+    specs = ctx.lms.exam(params["exam_id"]).question_specs()
+    payload = analysis_to_dict(merge_partials(specs, partials).analyze())
+    return _with_as_of(payload, partials[0].get("as_of"))
 
 
 def _report(ctx: ServerContext, params, body, query):
@@ -398,7 +356,14 @@ def _monitor_metrics(ctx: ServerContext, params, body, query):
 # -- admin --------------------------------------------------------------------
 
 
-def _checkpoint_payload(result) -> Dict[str, object]:
+def _checkpoint_now(ctx: ServerContext, params, body, query):
+    if ctx.checkpoint is None:
+        raise ApiError(
+            409,
+            "invalid_state",
+            "server was started without a WAL directory (--wal-dir)",
+        )
+    result = ctx.checkpoint()
     return {
         "checkpoint": str(result.path),
         "covered_lsn": result.covered_lsn,
@@ -411,32 +376,9 @@ def _checkpoint_payload(result) -> Dict[str, object]:
     }
 
 
-def _checkpoint_now(ctx: ServerContext, params, body, query):
-    if ctx.checkpoint is None:
-        raise ApiError(
-            409,
-            "invalid_state",
-            "server was started without a WAL directory (--wal-dir)",
-        )
-    result = ctx.checkpoint()
-    payload = _checkpoint_payload(result)
-    if ctx.cluster is not None:
-        # every shard compacts its own WAL; the admin call fans out
-        payload["peers_checkpointed"] = ctx.cluster.broadcast(
-            "POST", "/internal/admin/checkpoint"
-        )
-    return payload
-
-
-def _checkpoint_local(ctx: ServerContext, params, body, query):
-    """The broadcast leg of a cluster checkpoint: this shard only."""
-    if ctx.checkpoint is None:
-        raise ApiError(
-            409,
-            "invalid_state",
-            "server was started without a WAL directory (--wal-dir)",
-        )
-    return _checkpoint_payload(ctx.checkpoint())
+def _count_peers(payload, peers):
+    # every shard compacts its own WAL; the admin call fans out
+    return {**payload, "peers_checkpointed": peers}
 
 
 def _calibration_reload(ctx: ServerContext, params, body, query):
@@ -497,13 +439,26 @@ def _readmodel_at(service, lsn, ts):
     return model, {"applied_lsn": model.applied_lsn, "replayed": replayed}
 
 
-def _analytics_overview(ctx: ServerContext, params, body, query):
-    payload = _analytics_overview_local(ctx, params, body, query)
-    if ctx.cluster is None:
+def _with_as_of(payload, as_of_info):
+    """A time-travelled analysis names the journal position it reached."""
+    if as_of_info is None:
         return payload
-    shards = [payload]
-    shards.extend(ctx.cluster.gather("/internal/admin/analytics:overview"))
-    shards.sort(key=lambda entry: entry["shard"])
+    return {"as_of": as_of_info, "analysis": payload}
+
+
+def _analytics_overview(ctx: ServerContext, params, body, query):
+    """One process's fold state (a shard's part of the fleet's)."""
+    service = _require_readmodel(ctx)
+    service.sync()
+    with service.lock:
+        payload = service.model.overview()
+    payload["follower"] = service.info()
+    payload["shard"] = ctx.cluster.shard if ctx.cluster is not None else ""
+    return payload
+
+
+def _merge_overviews(ctx: ServerContext, params, shards):
+    shards = sorted(shards, key=lambda entry: entry["shard"])
     merged = {
         "applied_events": sum(s["applied_events"] for s in shards),
         "learners": sum(s["learners"] for s in shards),
@@ -536,39 +491,18 @@ def _analytics_overview(ctx: ServerContext, params, body, query):
     return merged
 
 
-def _analytics_overview_local(ctx: ServerContext, params, body, query):
-    """One process's fold state (also the gather leg of the overview)."""
-    service = _require_readmodel(ctx)
-    service.sync()
-    with service.lock:
-        payload = service.model.overview()
-    payload["follower"] = service.info()
-    payload["shard"] = ctx.cluster.shard if ctx.cluster is not None else ""
-    return payload
-
-
 def _analytics_summary(ctx: ServerContext, params, body, query):
-    payload = _analytics_summary_local(ctx, params, body, query)
-    if ctx.cluster is None:
-        return payload
-    from repro.readmodel.model import merge_summaries
-
-    exam_id = params["exam_id"]
-    summaries = [payload]
-    summaries.extend(
-        ctx.cluster.gather(
-            f"/internal/admin/analytics/{exam_id}/summary:local"
-        )
-    )
-    return merge_summaries(summaries)
-
-
-def _analytics_summary_local(ctx: ServerContext, params, body, query):
-    """One shard's exam aggregates (the gather leg of the summary)."""
+    """One process's exam aggregates."""
     service = _require_readmodel(ctx)
     service.sync()
     with service.lock:
         return service.model.exam(params["exam_id"]).summary()
+
+
+def _merge_summaries(ctx: ServerContext, params, summaries):
+    from repro.readmodel.model import merge_summaries
+
+    return merge_summaries(summaries)
 
 
 def _analytics_analysis(ctx: ServerContext, params, body, query):
@@ -579,56 +513,45 @@ def _analytics_analysis(ctx: ServerContext, params, body, query):
     fold at that journal position, built from the nearest read-model
     checkpoint plus a bounded suffix replay.  LSNs are per-shard
     coordinates, so a sharded deployment only accepts ``as_of_ts``
-    (one wall clock spans the fleet).
+    (one wall clock spans the fleet; see :func:`_analytics_partial`).
     """
     service = _require_readmodel(ctx)
-    exam_id = params["exam_id"]
-    lsn, ts = _as_of_target(query)
-    if ctx.cluster is None:
-        model, as_of_info = _readmodel_at(service, lsn, ts)
-        with service.lock:
-            payload = analysis_to_dict(model.exam(exam_id).analysis())
-    else:
-        if lsn is not None:
-            raise ApiError(
-                400,
-                "bad_request",
-                "as_of_lsn is a per-shard coordinate; use as_of_ts "
-                "against a cluster",
-            )
-        model, as_of_info = _readmodel_at(service, None, ts)
-        with service.lock:
-            exam_model = model.exam(exam_id)
-            partial = exam_model.cohort.partial()
-        # urlencode, not an f-string: a float's repr can carry '+'
-        # (1e+18), which would decode to a space on the receiving shard
-        suffix = "?" + urlencode({"as_of_ts": ts}) if ts is not None else ""
-        payload = _gathered_analysis(
-            ctx,
-            exam_model.exam,
-            partial,
-            f"/internal/admin/analytics/{exam_id}/analysis:partial{suffix}",
-        )
-    if as_of_info is not None:
-        return {"as_of": as_of_info, "analysis": payload}
-    return payload
+    model, as_of_info = _readmodel_at(service, *_as_of_target(query))
+    with service.lock:
+        payload = analysis_to_dict(model.exam(params["exam_id"]).analysis())
+    return _with_as_of(payload, as_of_info)
 
 
 def _analytics_partial(ctx: ServerContext, params, body, query):
-    """This shard's read-model partial (the gather leg of the analysis)."""
+    """One shard's read-model partial, with its ``as_of`` coordinates
+    when the query time-travels (the sharded analysis merges these)."""
     service = _require_readmodel(ctx)
     lsn, ts = _as_of_target(query)
-    model, _ = _readmodel_at(service, lsn, ts)
+    if lsn is not None:
+        raise ApiError(
+            400,
+            "bad_request",
+            "as_of_lsn is a per-shard coordinate; use as_of_ts "
+            "against a cluster",
+        )
+    model, as_of_info = _readmodel_at(service, None, ts)
     with service.lock:
-        return model.exam(params["exam_id"]).cohort.partial()
+        partial = model.exam(params["exam_id"]).cohort.partial()
+    if as_of_info is not None:
+        partial["as_of"] = as_of_info
+    return partial
+
+
+def _blueprint(summary):
+    return {"exam_id": summary["exam_id"], "blueprint": summary["blueprint"]}
 
 
 def _analytics_blueprint(ctx: ServerContext, params, body, query):
-    payload = _analytics_summary(ctx, params, body, query)
-    return {
-        "exam_id": payload["exam_id"],
-        "blueprint": payload["blueprint"],
-    }
+    return _blueprint(_analytics_summary(ctx, params, body, query))
+
+
+def _merge_blueprints(ctx: ServerContext, params, summaries):
+    return _blueprint(_merge_summaries(ctx, params, summaries))
 
 
 def _analytics_spec_table(ctx: ServerContext, params, body, query):
@@ -645,11 +568,9 @@ def _analytics_spec_table(ctx: ServerContext, params, body, query):
 # -- cluster ------------------------------------------------------------------
 
 
-def _shard_lsns(ctx: ServerContext) -> Dict[str, object]:
+def _shard_lsns(ctx: ServerContext, params, body, query):
     """One shard's WAL coordinates for the topology payload."""
-    payload: Dict[str, object] = {
-        "shard": ctx.cluster.shard if ctx.cluster is not None else ""
-    }
+    payload = {"shard": ctx.cluster.shard if ctx.cluster is not None else ""}
     if ctx.store_info is not None:
         info = ctx.store_info()
         payload["last_lsn"] = info.get("last_lsn")
@@ -659,47 +580,93 @@ def _shard_lsns(ctx: ServerContext) -> Dict[str, object]:
     return payload
 
 
-def _topology_local(ctx: ServerContext, params, body, query):
-    """This worker's LSN coordinates (the gather leg of the topology)."""
-    return _shard_lsns(ctx)
+def _not_clustered(ctx: ServerContext, params, body, query):
+    raise ApiError(
+        409,
+        "invalid_state",
+        "this server is not part of a cluster (serve --workers N)",
+    )
 
 
-def _topology(ctx: ServerContext, params, body, query):
-    if ctx.cluster is None:
-        raise ApiError(
-            409,
-            "invalid_state",
-            "this server is not part of a cluster (serve --workers N)",
-        )
+def _merge_topology(ctx: ServerContext, params, shards):
     payload = ctx.cluster.describe()
-    local = _shard_lsns(ctx)
-    lsns = {local["shard"]: local}
-    for peer in ctx.cluster.gather("/internal/cluster/topology:local"):
-        lsns[peer["shard"]] = peer
+    lsns = {shard["shard"]: shard for shard in shards}
     for entry in payload["shards"]:
-        info = lsns.get(entry["shard"])
-        if info is not None:
-            for key in ("last_lsn", "durable_lsn", "readmodel_lsn"):
-                if key in info:
-                    entry[key] = info[key]
+        entry.update(lsns[entry["shard"]])
     return payload
 
 
 def build_router() -> Router:
-    """The service's full route table."""
+    """The service's full route table.
+
+    A *fleet route* is one whose answer or effect spans every shard of
+    a cluster.  Each is declared once, by ``fleet`` (cohort reads) or
+    ``replicated`` (catalog and admin writes), which also register the
+    route's peer leg at ``"/internal" + template``.  Peer legs carry no
+    learner affinity (never proxied) and never fan out themselves,
+    which is what keeps a scatter from recursing.
+    """
     router = Router()
+
+    def fleet(template, name, local, merge, single=None):
+        """A cohort read.  One process answers with ``single`` (default
+        ``local``).  A shard of a cluster answers with ``merge(ctx,
+        params, payloads)`` over its own ``local`` payload followed by
+        every peer's, gathered from the peer leg with the request's
+        query string."""
+        internal = "/internal" + template
+        alone = single or local
+
+        def handler(ctx, params, body, query):
+            if ctx.cluster is None:
+                return alone(ctx, params, body, query)
+            payloads = [local(ctx, params, body, query)]
+            path = internal.format_map(params)
+            payloads += ctx.cluster.gather(
+                f"{path}?{query}" if query else path
+            )
+            return merge(ctx, params, payloads)
+
+        router.add("GET", template, handler, name)
+        router.add("GET", internal, local, "internal." + name)
+
+    def replicated(template, name, apply, merge=None):
+        """A catalog or admin write: ``apply`` it here, then broadcast
+        it to every peer's leg.  ``merge(result, peers)`` may fold the
+        peer count into a cluster's answer."""
+        internal = "/internal" + template
+
+        def handler(ctx, params, body, query):
+            if ctx.cluster is None:
+                return apply(ctx, params, body, query)
+            path = internal.format_map(params)
+            raw = json.dumps(body).encode("utf-8")
+            try:
+                result = apply(ctx, params, body, query)
+            except DuplicateIdError:
+                # applied here by an earlier try whose broadcast failed
+                # partway: reach the peers it missed (a peer's 409
+                # counts as applied), then answer 409 as one process
+                # would
+                ctx.cluster.broadcast("POST", path, raw)
+                raise
+            peers = ctx.cluster.broadcast("POST", path, raw)
+            return result if merge is None else merge(result, peers)
+
+        router.add("POST", template, handler, name)
+        router.add("POST", internal, apply, "internal." + name)
+
     router.add("GET", "/healthz", _healthz, "healthz")
     router.add("GET", "/metrics", _metrics, "metrics")
     router.add("GET", "/exams", _list_exams, "exams.list")
-    router.add("POST", "/exams", _offer_exam, "exams.offer")
+    # the catalog is replicated: every shard must know an exam before
+    # its learners' requests arrive
+    replicated("/exams", "exams.offer", _offer_exam)
     router.add("GET", "/exams/{exam_id}", _get_exam, "exams.get")
     router.add("POST", "/learners", _register_learner, "learners.register")
     router.add("GET", "/learners/{learner_id}", _get_learner, "learners.get")
     router.add(
         "POST", "/exams/{exam_id}/enrollments", _enroll, "enrollments.create"
-    )
-    router.add(
-        "GET", "/exams/{exam_id}/enrollments", _roster, "enrollments.list"
     )
     sitting = "/exams/{exam_id}/sittings/{learner_id}"
     router.add("POST", sitting + "/start", _start, "sittings.start")
@@ -717,14 +684,26 @@ def build_router() -> Router:
     router.add("POST", sitting + "/resume", _resume, "sittings.resume")
     router.add("POST", sitting + "/submit", _submit, "sittings.submit")
     router.add("GET", sitting, _sitting_status, "sittings.status")
-    router.add("GET", "/exams/{exam_id}/results", _results, "results")
-    router.add("GET", "/exams/{exam_id}/analysis", _analysis, "analysis")
+    fleet(
+        "/exams/{exam_id}/enrollments",
+        "enrollments.list",
+        _roster,
+        _merge_rosters,
+    )
+    fleet("/exams/{exam_id}/results", "results", _results, _merge_results)
+    fleet(
+        "/exams/{exam_id}/analysis",
+        "analysis",
+        _analysis_partial,
+        _merge_analysis,
+        single=_analysis,
+    )
     router.add("GET", "/exams/{exam_id}/report", _report, "report")
     router.add(
         "GET", "/monitor/metrics", _monitor_metrics, "monitor.metrics"
     )
-    router.add(
-        "POST", "/admin/checkpoint", _checkpoint_now, "admin.checkpoint"
+    replicated(
+        "/admin/checkpoint", "admin.checkpoint", _checkpoint_now, _count_peers
     )
     router.add(
         "POST",
@@ -735,22 +714,27 @@ def build_router() -> Router:
     # the read-model analytics surface (read-only; 409 without
     # --readmodel).  Answers come from the journal-fed fold, never from
     # the live LMS, so the cost is O(aggregate) regardless of history.
-    router.add(
-        "GET", "/admin/analytics", _analytics_overview, "analytics.overview"
+    fleet(
+        "/admin/analytics",
+        "analytics.overview",
+        _analytics_overview,
+        _merge_overviews,
     )
     analytics = "/admin/analytics/exams/{exam_id}"
-    router.add("GET", analytics, _analytics_summary, "analytics.summary")
-    router.add(
-        "GET",
+    fleet(analytics, "analytics.summary", _analytics_summary, _merge_summaries)
+    fleet(
         analytics + "/analysis",
-        _analytics_analysis,
         "analytics.analysis",
+        _analytics_partial,
+        _merge_analysis,
+        single=_analytics_analysis,
     )
-    router.add(
-        "GET",
+    fleet(
         analytics + "/blueprint",
-        _analytics_blueprint,
         "analytics.blueprint",
+        _analytics_summary,
+        _merge_blueprints,
+        single=_analytics_blueprint,
     )
     router.add(
         "GET",
@@ -758,60 +742,11 @@ def build_router() -> Router:
         _analytics_spec_table,
         "analytics.spec_table",
     )
-    # cluster-internal peer routes: the gather/broadcast legs of the
-    # scatter-gather handlers above.  They carry no learner affinity
-    # (never proxied) and never fan out themselves — that is what keeps
-    # a scatter from recursing.  Harmless on a single server too.
-    router.add("GET", "/cluster/topology", _topology, "cluster.topology")
-    router.add(
-        "GET",
-        "/internal/exams/{exam_id}/analysis:partial",
-        _analysis_partial,
-        "internal.analysis_partial",
-    )
-    router.add(
-        "GET",
-        "/internal/exams/{exam_id}/results:local",
-        _results_local,
-        "internal.results_local",
-    )
-    router.add(
-        "GET",
-        "/internal/exams/{exam_id}/enrollments:local",
-        _roster_local,
-        "internal.roster_local",
-    )
-    router.add(
-        "POST", "/internal/exams", _offer_exam_local, "internal.offer"
-    )
-    router.add(
-        "POST",
-        "/internal/admin/checkpoint",
-        _checkpoint_local,
-        "internal.checkpoint",
-    )
-    router.add(
-        "GET",
-        "/internal/admin/analytics:overview",
-        _analytics_overview_local,
-        "internal.analytics_overview",
-    )
-    router.add(
-        "GET",
-        "/internal/admin/analytics/{exam_id}/summary:local",
-        _analytics_summary_local,
-        "internal.analytics_summary",
-    )
-    router.add(
-        "GET",
-        "/internal/admin/analytics/{exam_id}/analysis:partial",
-        _analytics_partial,
-        "internal.analytics_partial",
-    )
-    router.add(
-        "GET",
-        "/internal/cluster/topology:local",
-        _topology_local,
-        "internal.topology_local",
+    fleet(
+        "/cluster/topology",
+        "cluster.topology",
+        _shard_lsns,
+        _merge_topology,
+        single=_not_clustered,
     )
     return router

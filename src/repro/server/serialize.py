@@ -6,21 +6,21 @@ and get one 400 ``bad_request`` shape for every malformed payload
 (invalid JSON, non-object bodies, missing/mistyped/unknown fields).
 
 Response side: plain functions turning the library's dataclasses
-(:class:`~repro.core.question_analysis.CohortAnalysis`,
-:class:`~repro.delivery.scoring.GradedSitting`, …) into JSON-compatible
-dicts.  :func:`analysis_to_dict` is intentionally field-complete and
-deterministic — the loadgen differential test compares the server's
-rendering of ``live_analysis`` against a local ``analyze_cohort`` run
-through this same function, so any drift between the two fails CI.
+(:class:`~repro.delivery.scoring.GradedSitting`, …) into JSON-compatible
+dicts.  :func:`analysis_to_dict` is re-exported from
+:mod:`repro.core.export`, which renders the §4 report's questions with
+it — the loadgen differential test compares the server's rendering of
+``live_analysis`` against a local ``analyze_cohort`` run through this
+same function, so any drift between the two fails CI.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Type
+from typing import Dict, Type
 
-from repro.core.question_analysis import CohortAnalysis
+from repro.core.export import analysis_to_dict
 from repro.delivery.scoring import GradedSitting
 from repro.items.responses import ScoredResponse
 from repro.lms.learners import Learner
@@ -138,44 +138,6 @@ class BodySpec:
 
 
 # -- response serialization --------------------------------------------------
-
-
-def analysis_to_dict(cohort: CohortAnalysis) -> Dict[str, object]:
-    """A :class:`CohortAnalysis` as a JSON-compatible dict."""
-    questions: List[Dict[str, object]] = []
-    for question in cohort.questions:
-        questions.append(
-            {
-                "number": question.number,
-                "p_high": question.p_high,
-                "p_low": question.p_low,
-                "difficulty": question.difficulty,
-                "discrimination": question.discrimination,
-                "signal": question.signal.value,
-                "rules_fired": list(question.rules.fired_rules),
-                "statuses": [
-                    str(status) for status in question.rules.statuses
-                ],
-                "advice": question.advice.render(),
-                "distraction": (
-                    question.distraction.describe()
-                    if question.distraction is not None
-                    else None
-                ),
-                "option_matrix": {
-                    "options": list(question.matrix.options),
-                    "high": dict(question.matrix.high),
-                    "low": dict(question.matrix.low),
-                    "correct": question.matrix.correct,
-                },
-            }
-        )
-    return {
-        "questions": questions,
-        "high_group": list(cohort.high_group),
-        "low_group": list(cohort.low_group),
-        "scores": dict(cohort.scores),
-    }
 
 
 def scored_to_dict(score: ScoredResponse) -> Dict[str, object]:

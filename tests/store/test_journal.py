@@ -129,28 +129,39 @@ class TestBatchAppend:
 
 class TestGroupCommit:
     def test_concurrent_writers_share_fsyncs(self, tmp_path):
+        """The submit path: each writer writes its record, then waits
+        for the disk.  Six writers that all wrote before any commits
+        share one fsync, whichever of them leads it."""
         import threading
 
+        writers, rounds = 6, 20
+        written = threading.Barrier(writers, timeout=10)
+        committed = threading.Barrier(writers, timeout=10)
         with Journal.open(
             tmp_path, fsync="always", group_commit=True
         ) as journal:
             def writer(worker):
-                for index in range(20):
-                    journal.append("answer", {"w": worker, "i": index})
+                for index in range(rounds):
+                    lsn = journal.write(
+                        [("answer", {"w": worker, "i": index})]
+                    )
+                    written.wait()
+                    journal.commit(lsn)
+                    committed.wait()
 
             threads = [
                 threading.Thread(target=writer, args=(worker,))
-                for worker in range(6)
+                for worker in range(writers)
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
-            assert journal.records_appended == 120
-            # the whole point: far fewer flushes than records
-            assert journal.fsyncs < 120
-            assert journal.group_commits >= 1
-        assert len(list(read_records(tmp_path))) == 120
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert journal.records_appended == writers * rounds
+            # one fsync per round, not one per record
+            assert journal.fsyncs == journal.group_commits == rounds
+        assert len(list(read_records(tmp_path))) == writers * rounds
 
     def test_group_commit_still_fsyncs_every_acked_append(self, tmp_path):
         with Journal.open(
