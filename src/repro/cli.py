@@ -177,12 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
             "OS page cache only"
         ),
     )
+    # accepted and ignored: --fsync always always group-commits
     serve.add_argument(
-        "--group-commit", action="store_true",
-        help=(
-            "with --fsync always, coalesce concurrent writers' fsyncs "
-            "into one flush per group instead of one per record"
-        ),
+        "--group-commit", action="store_true", help=argparse.SUPPRESS
     )
     serve.add_argument(
         "--checkpoint-interval", type=float, default=None,
@@ -501,12 +498,8 @@ def _cmd_serve(args) -> int:
     server = ExamServer(
         host=args.host,
         port=args.port,
-        max_in_flight=args.max_in_flight,
         wal_dir=args.wal_dir,
-        fsync=args.fsync,
-        group_commit=args.group_commit,
-        checkpoint_interval_seconds=args.checkpoint_interval,
-        readmodel=args.readmodel,
+        **_server_options(args),
     )
     if server.recovery_report is not None:
         print(server.recovery_report.summary(), file=sys.stderr)
@@ -522,6 +515,17 @@ def _cmd_serve(args) -> int:
     return 0
 
 
+def _server_options(args) -> dict:
+    """The ``ExamServer`` options of ``serve``, for one process or for
+    every worker of a cluster."""
+    return {
+        "max_in_flight": args.max_in_flight,
+        "fsync": args.fsync,
+        "checkpoint_interval_seconds": args.checkpoint_interval,
+        "readmodel": args.readmodel,
+    }
+
+
 def _serve_cluster(args) -> int:
     """serve --workers N: the sharded multi-process delivery tier."""
     from repro.cluster.supervisor import ExamCluster
@@ -531,11 +535,7 @@ def _serve_cluster(args) -> int:
         host=args.host,
         front_port=args.port,
         wal_root=args.wal_dir,
-        fsync=args.fsync,
-        group_commit=args.group_commit,
-        max_in_flight=args.max_in_flight,
-        checkpoint_interval_seconds=args.checkpoint_interval,
-        readmodel=args.readmodel,
+        **_server_options(args),
     )
     with cluster:
         for shard in cluster.shards:

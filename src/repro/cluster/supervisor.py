@@ -45,7 +45,8 @@ WATCH_INTERVAL = 0.25
 
 @dataclass
 class WorkerSpec:
-    """Everything one worker process needs to come up, fork-shippable."""
+    """Everything one worker process needs to come up, fork-shippable.
+    ``server_options`` go to the worker's ``ExamServer`` unchanged."""
 
     shard: str
     host: str
@@ -54,11 +55,7 @@ class WorkerSpec:
     shard_urls: Dict[str, str]
     replicas: int = DEFAULT_REPLICAS
     wal_dir: Optional[str] = None
-    fsync: str = "interval"
-    group_commit: bool = False
-    max_in_flight: int = 64
-    checkpoint_interval_seconds: Optional[float] = None
-    extra_server_kwargs: Dict[str, object] = field(default_factory=dict)
+    server_options: Dict[str, object] = field(default_factory=dict)
 
 
 def _worker_main(spec: WorkerSpec) -> None:
@@ -79,13 +76,9 @@ def _worker_main(spec: WorkerSpec) -> None:
         host=spec.host,
         port=spec.direct_port,
         wal_dir=spec.wal_dir,
-        fsync=spec.fsync,
-        group_commit=spec.group_commit,
-        max_in_flight=spec.max_in_flight,
-        checkpoint_interval_seconds=spec.checkpoint_interval_seconds,
         cluster=cluster,
         reuse_port=True,
-        **spec.extra_server_kwargs,
+        **spec.server_options,
     )
     server.add_front_listener(spec.front_port)
     server.start()
@@ -108,7 +101,13 @@ def _reserve_port(host: str, port: int = 0) -> Tuple[socket.socket, int]:
 
 
 class ExamCluster:
-    """N sharded exam-delivery workers behind one front port."""
+    """N sharded exam-delivery workers behind one front port.
+
+    ``server_options`` (``fsync``, ``max_in_flight``, ``readmodel``,
+    ...) go unchanged to every worker's
+    :class:`~repro.server.app.ExamServer`, whose WAL directory is
+    ``wal_root/shard-N``.
+    """
 
     def __init__(
         self,
@@ -116,18 +115,15 @@ class ExamCluster:
         host: str = "127.0.0.1",
         front_port: int = 0,
         wal_root: Optional["str | Path"] = None,
-        fsync: str = "interval",
-        group_commit: bool = False,
-        max_in_flight: int = 64,
-        checkpoint_interval_seconds: Optional[float] = None,
         replicas: int = DEFAULT_REPLICAS,
         watchdog: bool = True,
         ready_timeout: float = 30.0,
-        readmodel: bool = False,
+        **server_options,
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        if readmodel and wal_root is None:
+        # checked here: a worker that fails at boot is restarted for ever
+        if server_options.get("readmodel") and wal_root is None:
             raise ValueError(
                 "readmodel=True needs per-shard WALs to tail; pass wal_root"
             )
@@ -168,11 +164,7 @@ class ExamCluster:
                 shard_urls=shard_urls,
                 replicas=replicas,
                 wal_dir=wal_dir,
-                fsync=fsync,
-                group_commit=group_commit,
-                max_in_flight=max_in_flight,
-                checkpoint_interval_seconds=checkpoint_interval_seconds,
-                extra_server_kwargs={"readmodel": True} if readmodel else {},
+                server_options=server_options,
             )
         self._context = multiprocessing.get_context("fork")
         self._processes: Dict[str, multiprocessing.Process] = {}

@@ -190,8 +190,8 @@ class Lms:
         Called under ``_commit_lock``, so the log holds submits in the
         order they joined ``_results``.  The caller passes the LSN to
         :meth:`~repro.store.journal.Journal.commit` after releasing the
-        lock, so under group commit no reader of the results waits on a
-        disk flush.
+        lock, so under ``fsync="always"`` no reader of the results waits
+        on a disk flush.
         """
         if self.journal is None:
             return 0

@@ -311,7 +311,6 @@ class ExamServer:
         max_body_bytes: int = 8 * 1024 * 1024,
         wal_dir: Optional["str | Path"] = None,
         fsync: str = "interval",
-        group_commit: bool = False,
         checkpoint_interval_seconds: Optional[float] = None,
         max_batch_answers: int = 500,
         cluster: Optional[object] = None,
@@ -337,10 +336,7 @@ class ExamServer:
                 lms = self.recovery_report.lms
             # Journal.open also repairs the torn tail recover() tolerated
             self.journal = Journal.open(
-                self.wal_dir,
-                fsync=fsync,
-                group_commit=group_commit,
-                registry=registry,
+                self.wal_dir, fsync=fsync, registry=registry
             )
             lms.attach_journal(self.journal)
             self.checkpointer = Checkpointer(lms, self.journal)
@@ -584,7 +580,6 @@ class ExamServer:
         return {
             "wal_dir": str(self.wal_dir),
             "fsync_policy": journal.fsync_policy,
-            "group_commit": journal.group_commit,
             "last_lsn": journal.last_lsn,
             "durable_lsn": journal.durable_lsn,
             "records_appended": journal.records_appended,

@@ -125,6 +125,11 @@ def _offer_exam(ctx: ServerContext, params, body, query):
     return 201, {"exam_id": exam.exam_id, "items": len(exam.items)}
 
 
+def _offered_record(ctx: ServerContext, body):
+    """The record this shard holds under the id an offer asked for."""
+    return exam_to_record(ctx.lms.exam(body["exam_id"]))
+
+
 def _list_exams(ctx: ServerContext, params, body, query):
     return {"exams": ctx.lms.offered_exams()}
 
@@ -630,10 +635,13 @@ def build_router() -> Router:
         router.add("GET", template, handler, name)
         router.add("GET", internal, local, "internal." + name)
 
-    def replicated(template, name, apply, merge=None):
+    def replicated(template, name, apply, merge=None, held=None):
         """A catalog or admin write: ``apply`` it here, then broadcast
         it to every peer's leg.  ``merge(result, peers)`` may fold the
-        peer count into a cluster's answer."""
+        peer count into a cluster's answer.  ``held(ctx, body)`` gives
+        the record this shard holds when ``apply`` finds the id taken
+        (default ``body``): an earlier try applied it here, and its
+        broadcast may have failed partway."""
         internal = "/internal" + template
 
         def handler(ctx, params, body, query):
@@ -645,9 +653,12 @@ def build_router() -> Router:
                 result = apply(ctx, params, body, query)
             except DuplicateIdError:
                 # applied here by an earlier try whose broadcast failed
-                # partway: reach the peers it missed (a peer's 409
+                # partway: reach the peers it missed with what it
+                # applied, which this body may not match (a peer's 409
                 # counts as applied), then answer 409 as one process
                 # would
+                if held is not None:
+                    raw = json.dumps(held(ctx, body)).encode("utf-8")
                 ctx.cluster.broadcast("POST", path, raw)
                 raise
             peers = ctx.cluster.broadcast("POST", path, raw)
@@ -661,7 +672,7 @@ def build_router() -> Router:
     router.add("GET", "/exams", _list_exams, "exams.list")
     # the catalog is replicated: every shard must know an exam before
     # its learners' requests arrive
-    replicated("/exams", "exams.offer", _offer_exam)
+    replicated("/exams", "exams.offer", _offer_exam, held=_offered_record)
     router.add("GET", "/exams/{exam_id}", _get_exam, "exams.get")
     router.add("POST", "/learners", _register_learner, "learners.register")
     router.add("GET", "/learners/{learner_id}", _get_learner, "learners.get")

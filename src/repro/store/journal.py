@@ -30,8 +30,11 @@ Each format has one offset-based decoder, called only by
 
 Durability levels (``fsync`` policy):
 
-* ``"always"`` — ``os.fsync`` after every append: survives OS/power
-  loss at the cost of one disk flush per record;
+* ``"always"`` — no append returns before its record is fsynced:
+  survives OS/power loss.  Concurrent writers **group-commit**, sharing
+  fsyncs that run outside the journal lock (:meth:`Journal.commit`),
+  and :meth:`Journal.append_batch` makes K records one write and one
+  fsync;
 * ``"interval"`` — flush to the OS on every append, ``fsync`` on an
   append at least :data:`FSYNC_INTERVAL` (0.05 s) after the last one:
   survives process death (SIGKILL) with bounded data-at-risk on a
@@ -42,15 +45,6 @@ Durability levels (``fsync`` policy):
 Every policy flushes Python's userspace buffer per append, so a record
 that was acknowledged to a caller is never lost to a killed *process* —
 that invariant is what the crash-injection suite proves.
-
-**Group commit** (``group_commit=True``) changes how the ``"always"``
-policy pays for its durability: instead of one fsync per append, a
-writer that finds another thread's fsync in flight waits for it to
-finish and then rides the *next* one, so N concurrent writers share
-O(1) flushes instead of issuing N.  An append still never returns
-before its record is on disk — the coalescing moves the fsync, never
-skips it.  :meth:`append_batch` applies the same idea within one
-caller: K records become one write + one flush + one fsync.
 
 Reading tolerates a **torn tail**: a record that fails to parse or
 checksum in the *final* segment marks the end of the log (everything
@@ -354,7 +348,6 @@ class Journal:
         *,
         fsync: str = "interval",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        group_commit: bool = False,
         registry: Optional["obs.Registry"] = None,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
@@ -366,9 +359,12 @@ class Journal:
         self.directory = Path(directory)
         self.fsync_policy = fsync
         self.segment_bytes = int(segment_bytes)
-        self.group_commit = bool(group_commit)
         self._registry = registry
         self._lock = threading.Lock()
+        # group commit: a leader's fsync is in flight; the other
+        # committers wait on _flushed until it ends
+        self._flushing = False
+        self._flushed = threading.Condition(self._lock)
         self._last_lsn = 0
         # the durable high-water mark: the highest LSN known to have
         # been fsynced to disk (what an external reader may lag behind)
@@ -378,12 +374,6 @@ class Journal:
         self._segment_size = 0
         self._last_fsync = time.monotonic()
         self._closed = False
-        # group-commit leader/follower state: _gc_synced is the highest
-        # LSN known to be on disk; one leader at a time runs the fsync
-        # while followers wait on the condition and re-check
-        self._gc_cond = threading.Condition()
-        self._gc_synced = 0
-        self._gc_leader_active = False
         #: lifetime totals, mirrored into obs counters
         self.records_appended = 0
         self.bytes_appended = 0
@@ -402,7 +392,6 @@ class Journal:
         *,
         fsync: str = "interval",
         segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        group_commit: bool = False,
         registry: Optional["obs.Registry"] = None,
     ) -> "Journal":
         """Open (creating if needed) the WAL in ``directory``.
@@ -421,11 +410,7 @@ class Journal:
         base = Path(directory)
         base.mkdir(parents=True, exist_ok=True)
         journal = cls(
-            base,
-            fsync=fsync,
-            segment_bytes=segment_bytes,
-            group_commit=group_commit,
-            registry=registry,
+            base, fsync=fsync, segment_bytes=segment_bytes, registry=registry
         )
         segments = segment_files(base)
         if segments:
@@ -510,12 +495,12 @@ class Journal:
     def write(self, events: Sequence[Tuple[str, Dict[str, object]]]) -> int:
         """The write half of :meth:`append_batch`; returns the last LSN.
 
-        The records take their place in the log, are flushed to the OS
-        and are fsynced per the policy — except under group commit,
-        where the caller must :meth:`commit` the returned LSN before it
-        acknowledges them.  A caller can so fix the log order under its
-        own lock and wait for the disk after releasing it.  More than
-        one record counts as a batch append.
+        The records take their place in the log and are flushed to the
+        OS; under ``interval`` they are fsynced per the policy, and
+        under ``always`` the caller must :meth:`commit` the returned LSN
+        before it acknowledges them.  A caller can so fix the log order
+        under its own lock and wait for the disk after releasing it.
+        More than one record counts as a batch append.
         """
         events = tuple(events)
         with self._lock:
@@ -526,10 +511,42 @@ class Journal:
         return last
 
     def commit(self, lsn: int) -> None:
-        """The wait half: under group commit, block until ``lsn`` is
-        fsynced; every other policy already applied at :meth:`write`."""
-        if self._gc_enabled():
-            self._commit_group(lsn)
+        """The wait half: under ``always``, block until ``lsn`` is
+        fsynced; every other policy already applied at :meth:`write`.
+
+        A committer whose record is not on disk leads a group unless an
+        fsync is in flight (a lone writer leads its own): it takes the
+        LSN written so far and dups the segment's fd under the lock,
+        then fsyncs the dup outside it, so writers append, and a
+        rotation or close seals the segment, meanwhile.  The others
+        wait, and lead the next group if this one did not cover them.
+        """
+        if self.fsync_policy != "always":
+            return
+        with self._lock:
+            while self._flushing and self._durable_lsn < lsn:
+                self._flushed.wait()
+            if self._durable_lsn >= lsn:
+                return
+            # lsn is in the open segment: sealing it would have fsynced
+            covered = self._last_lsn
+            fd = os.dup(self._stream.fileno())
+            self._flushing = True
+        synced = False
+        try:
+            with obs.span("store.fsync"):
+                os.fsync(fd)
+            synced = True
+        finally:
+            with self._lock:
+                # after a failed fsync a waiter leads the retry
+                self._flushing = False
+                self._flushed.notify_all()
+                if synced:
+                    self._fsynced(covered)
+                    self.group_commits += 1
+                    self._count("store.group_commits")
+            os.close(fd)
 
     def sync(self) -> None:
         """Force an fsync of the active segment (any policy)."""
@@ -559,10 +576,6 @@ class Journal:
                 self._stream.close()
                 self._stream = None
             self._closed = True
-        # release any group-commit followers parked on the condition
-        with self._gc_cond:
-            self._gc_synced = max(self._gc_synced, self._last_lsn)
-            self._gc_cond.notify_all()
 
     def __enter__(self) -> "Journal":
         return self
@@ -607,8 +620,8 @@ class Journal:
         self, events: Iterable[Tuple[str, Dict[str, object]]]
     ) -> int:
         """Encode + write + flush ``events`` under ``self._lock``;
-        returns the last LSN assigned.  Fsync happens here per policy
-        unless group commit will handle it after the lock is released.
+        returns the last LSN assigned.  The ``interval`` policy fsyncs
+        here; ``always`` leaves it to :meth:`commit`.
         """
         if self._closed:
             raise StoreError("journal is closed")
@@ -626,8 +639,6 @@ class Journal:
         self._stream.write(encoded)
         # userspace -> OS page cache: makes the records SIGKILL-safe
         self._stream.flush()
-        if not self._gc_enabled():
-            self._maybe_fsync()
         appended = lsn - self._last_lsn
         self._last_lsn = lsn
         self._segment_size += len(encoded)
@@ -635,44 +646,14 @@ class Journal:
         self.bytes_appended += len(encoded)
         if self._segment_size >= self.segment_bytes:
             self._rotate_locked()
+        elif (
+            self.fsync_policy == "interval"
+            and time.monotonic() - self._last_fsync >= FSYNC_INTERVAL
+        ):
+            self._fsync_locked()
         self._count("store.appends", appended)
         self._count("store.bytes", len(encoded))
         return lsn
-
-    def _gc_enabled(self) -> bool:
-        # group commit only changes the "always" policy: the other
-        # policies already coalesce (or skip) their fsyncs
-        return self.group_commit and self.fsync_policy == "always"
-
-    def _commit_group(self, lsn: int) -> None:
-        """Block until ``lsn`` is fsynced, coalescing with other
-        writers: one leader flushes for everyone who arrived while the
-        previous flush was in flight."""
-        with self._gc_cond:
-            while True:
-                if self._gc_synced >= lsn:
-                    return  # somebody's flush already covered us
-                if not self._gc_leader_active:
-                    self._gc_leader_active = True
-                    break
-                self._gc_cond.wait()
-        high = lsn
-        try:
-            with self._lock:
-                if self._stream is not None and not self._closed:
-                    self._stream.flush()
-                # everything appended so far is covered: sealed
-                # segments were fsynced at rotation, the active one by
-                # the fsync below
-                high = max(high, self._last_lsn)
-                self._fsync_locked()
-            self.group_commits += 1
-            self._count("store.group_commits")
-        finally:
-            with self._gc_cond:
-                self._gc_synced = max(self._gc_synced, high)
-                self._gc_leader_active = False
-                self._gc_cond.notify_all()
 
     def _open_segment(self, path: Path, append: bool) -> None:
         self._stream = path.open("ab" if append else "xb")
@@ -696,22 +677,18 @@ class Journal:
         self._count("store.segments.rotated")
         # the next append opens wal-<last_lsn + 1>
 
-    def _maybe_fsync(self) -> None:
-        if self.fsync_policy == "always":
-            self._fsync_locked()
-        elif self.fsync_policy == "interval":
-            now = time.monotonic()
-            if now - self._last_fsync >= FSYNC_INTERVAL:
-                self._fsync_locked()
-
     def _fsync_locked(self) -> None:
         if self._stream is None:
             return
         with obs.span("store.fsync"):
             os.fsync(self._stream.fileno())
+        self._fsynced(self._last_lsn)
+
+    def _fsynced(self, lsn: int) -> None:
+        """Count an fsync that made every record up to ``lsn`` durable
+        (under the lock; a group leader's may end after a later one)."""
         self._last_fsync = time.monotonic()
-        # everything appended before this flush is now on disk
-        self._durable_lsn = self._last_lsn
+        self._durable_lsn = max(self._durable_lsn, lsn)
         self.fsyncs += 1
         self._count("store.fsyncs")
 

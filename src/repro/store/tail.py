@@ -26,7 +26,10 @@ What it survives, by design:
 * **a torn tail** — a half-written record at the tip is *not* an
   error: the tailer holds its offset at the last whole record and
   retries, so a group-committed batch is seen exactly once, never as a
-  duplicate or a mangled prefix;
+  duplicate or a mangled prefix.  A record that fails to decode in a
+  segment that a later one follows is damage, not a write in progress:
+  it raises :class:`~repro.core.errors.JournalCorruptError`, as
+  recovery does;
 * **checkpoint retirement behind it** — segments the tailer has fully
   consumed may be deleted underneath it; it re-locates by filename.
   Retirement *ahead* of its position means records it never saw are
@@ -132,16 +135,20 @@ class JournalTailer:
         self._offset = 0
         self.segments_followed += 1
 
-    def _advance_if_sealed(self) -> bool:
-        """Move to the successor segment when the current one is sealed
-        exactly at our position; True when the tailer advanced.  Only a
-        segment listed after the current one can succeed it: an empty
-        v1 segment and the binary one after it share a first LSN, and
-        must not hand over to each other in turn."""
+    def _later_segments(self) -> List[Path]:
+        """The segments listed after the current one.  Only these can
+        succeed it: an empty v1 segment and the binary one after it
+        share a first LSN, and must not hand over to each other in
+        turn."""
         segments = segment_files(self.directory)
         if self._segment in segments:
             segments = segments[segments.index(self._segment) + 1:]
-        for path in segments:
+        return segments
+
+    def _advance_if_sealed(self) -> bool:
+        """Move to the successor segment when the current one is sealed
+        exactly at our position; True when the tailer advanced."""
+        for path in self._later_segments():
             if segment_first_lsn(path) == self._lsn + 1:
                 self._enter_segment(path)
                 return True
@@ -152,27 +159,36 @@ class JournalTailer:
     def _scan_active(self, records: List[JournalRecord]) -> bool:
         """Decode what the active segment holds past our offset; True
         when the poll loop should spin again (more may be readable)."""
-        try:
-            scan = scan_segment(self._segment, self._offset)
-        except FileNotFoundError:
-            # retired underneath us after we drained it; re-locate (the
-            # gap check in _locate catches retirement *ahead* of us)
-            self._segment = None
-            return True
-        if scan.bad_header:
-            raise JournalCorruptError(
-                f"segment {self._segment.name}: {scan.error}"
-            )
-        for record in scan.records:
-            if record.lsn > self._lsn:
-                records.append(record)
-                self._lsn = record.lsn
-        self._offset = scan.valid_bytes
-        if scan.error is not None:
-            # torn final record: hold position, retry on the next poll
-            # (a *sealed* segment can only end torn after a crash the
-            # writer has not repaired yet — waiting is correct there
-            # too, since Journal.open truncates before appending more)
-            return False
-        # cleanly at EOF: sealed-and-rotated segments hand over here
-        return self._advance_if_sealed()
+        for _attempt in range(2):
+            try:
+                scan = scan_segment(self._segment, self._offset)
+            except FileNotFoundError:
+                # retired underneath us after we drained it; re-locate
+                # (the gap check in _locate catches retirement *ahead*
+                # of us)
+                self._segment = None
+                return True
+            if scan.bad_header:
+                raise JournalCorruptError(
+                    f"segment {self._segment.name}: {scan.error}"
+                )
+            for record in scan.records:
+                if record.lsn > self._lsn:
+                    records.append(record)
+                    self._lsn = record.lsn
+            self._offset = scan.valid_bytes
+            if scan.error is None:
+                # cleanly at EOF: sealed-and-rotated segments hand over
+                return self._advance_if_sealed()
+            if not self._later_segments():
+                # torn final record: hold position, retry on the next poll
+                return False
+            # a later segment means the writer sealed this one, so the
+            # record is damaged, unless the writer finished it and
+            # rotated after our scan: rescan once to tell
+        if records:
+            return False  # whole records first; the next poll raises
+        raise JournalCorruptError(
+            f"segment {self._segment.name} is corrupt mid-log "
+            f"({scan.error}); newer segments follow"
+        )

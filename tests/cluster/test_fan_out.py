@@ -11,7 +11,9 @@ routes to their owners and fans fleet routes out to its peers.
   shard is the *last* of shard-0's peers, so the gather fails after
   another peer has already answered.
 * A replicated write that a down shard missed reaches it when the
-  client retries, although the retry answers 409 where it was applied.
+  client retries, although the retry answers 409 where it was applied;
+  the missed shard gets what the first try applied, whatever the
+  retry carries.
 """
 
 import http.client
@@ -219,5 +221,31 @@ class TestRetriedBroadcast:
                 {"learner_id": learner},
             )
             assert status == 201, payload
+        finally:
+            fleet.close()
+
+    def test_a_retry_with_other_content_installs_the_first_offer(
+        self, tmp_path
+    ):
+        """The retry answers 409 where the first try applied, and the
+        shard that try missed gets the record the first shard holds,
+        not the retry's other title."""
+        fleet = Fleet(tmp_path, shards=2)
+        try:
+            offer = exam_to_record(classroom_exam(QUESTIONS))
+            fleet.stop("shard-1")
+            status, payload, _ = fleet.request("POST", "/exams", offer)
+            assert status == 503, payload
+
+            fleet.start("shard-1")
+            other = dict(offer, title="a different exam under the same id")
+            status, payload, _ = fleet.request("POST", "/exams", other)
+            assert status == 409, payload
+            for shard in fleet.urls:
+                status, held, _ = fleet.request(
+                    "GET", f"/exams/{EXAM_ID}", shard=shard
+                )
+                assert status == 200, (shard, held)
+                assert held["title"] == offer["title"], shard
         finally:
             fleet.close()

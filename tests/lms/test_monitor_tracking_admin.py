@@ -110,9 +110,9 @@ class TestTrackingService:
         assert counts[EventKind.LAUNCHED] == 1
 
 
-def lms_with_sitting():
+def lms_with_sitting(journal=None):
     clock = ManualClock()
-    lms = Lms(clock=clock)
+    lms = Lms(clock=clock, journal=journal)
     exam = (
         ExamBuilder("e1", "E")
         .add_item(TrueFalseItem(item_id="q1", question="True?"))
@@ -161,3 +161,29 @@ class TestAdministrator:
         admin = Administrator(lms)
         admin.remove_learner("alice")
         assert "alice" not in lms.learners
+
+
+class TestAdministratorDurability:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="withdraw_exam and remove_learner change the LMS's exams, "
+        "enrollment and learner registry without its lock and without a "
+        "journal event, so recovery brings back what they removed",
+    )
+    @pytest.mark.parametrize("call", ["withdraw_exam", "remove_learner"])
+    def test_recovery_equals_live_after_the_call(self, tmp_path, call):
+        from repro.store import Journal, recover
+
+        journal = Journal.open(tmp_path, fsync="never")
+        lms = lms_with_sitting(journal)
+        admin = Administrator(lms)
+        if call == "withdraw_exam":
+            admin.withdraw_exam("e1")
+        else:
+            admin.remove_learner("alice")
+        journal.close()
+        recovered = recover(tmp_path).lms
+        assert (recovered.offered_exams(), recovered.learners.ids()) == (
+            lms.offered_exams(),
+            lms.learners.ids(),
+        )

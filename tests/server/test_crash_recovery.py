@@ -259,6 +259,8 @@ def crashed_batch_run(tmp_path_factory):
     wal_dir = tmp_path_factory.mktemp("crash-batch-wal")
     exam = classroom_exam(QUESTIONS)
     record = exam_to_record(exam)
+    # --fsync always group-commits; the flag is accepted and ignored
+    # (perfbench's bulk_sync still passes it)
     process, host, port = spawn_server(
         wal_dir, fsync="always", extra=("--group-commit",)
     )

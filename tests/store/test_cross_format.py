@@ -186,8 +186,10 @@ class TestBinaryTornTailFuzz:
     ):
         """Concurrent group-committed writers, then kill-at-byte-N on
         the result: every prefix is a clean record stream, so a crash
-        inside any flush window loses only un-acked suffix records."""
-        journal = Journal.open(tmp_path, fsync="always", group_commit=True)
+        inside any flush window loses only un-acked suffix records.
+        Writers append while a leader fsyncs outside the lock, so flush
+        boundaries fall between any two writes."""
+        journal = Journal.open(tmp_path, fsync="always")
         clock = ManualClock(100.0)
         lms = Lms(clock=clock, journal=journal)
         lms.offer_exam(build_exam(questions=8))

@@ -8,7 +8,10 @@ The wire-format classes at the bottom pin each format's byte layout.
 """
 
 import json
+import os
 import struct
+import sys
+import threading
 import zlib
 
 import pytest
@@ -127,19 +130,41 @@ class TestBatchAppend:
         assert [r.type for r in read_records(tmp_path)] == ["a", "b", "c", "d"]
 
 
+class ParkedFsync:
+    """Replaces ``os.fsync``: the first call waits until :attr:`release`
+    is set; every call then fsyncs."""
+
+    def __init__(self, monkeypatch):
+        self._fsync = os.fsync
+        self.parked = threading.Event()
+        self.release = threading.Event()
+        monkeypatch.setattr(os, "fsync", self)
+
+    def __call__(self, fd):
+        if not self.parked.is_set():
+            self.parked.set()
+            self.release.wait(10)
+        self._fsync(fd)
+
+
+def in_thread(call, *args):
+    """Run ``call(*args)`` on a thread; returns it and a list that gets
+    the result once the call returns."""
+    results = []
+    thread = threading.Thread(target=lambda: results.append(call(*args)))
+    thread.start()
+    return thread, results
+
+
 class TestGroupCommit:
     def test_concurrent_writers_share_fsyncs(self, tmp_path):
         """The submit path: each writer writes its record, then waits
         for the disk.  Six writers that all wrote before any commits
         share one fsync, whichever of them leads it."""
-        import threading
-
         writers, rounds = 6, 20
         written = threading.Barrier(writers, timeout=10)
         committed = threading.Barrier(writers, timeout=10)
-        with Journal.open(
-            tmp_path, fsync="always", group_commit=True
-        ) as journal:
+        with Journal.open(tmp_path, fsync="always") as journal:
             def writer(worker):
                 for index in range(rounds):
                     lsn = journal.write(
@@ -164,19 +189,147 @@ class TestGroupCommit:
         assert len(list(read_records(tmp_path))) == writers * rounds
 
     def test_group_commit_still_fsyncs_every_acked_append(self, tmp_path):
-        with Journal.open(
-            tmp_path, fsync="always", group_commit=True
-        ) as journal:
+        with Journal.open(tmp_path, fsync="always") as journal:
             journal.append("answer", {"n": 1})
-            # single-threaded: the append's own group commit flushed it
-            assert journal.fsyncs >= 1
+            # single-threaded: the append led its own group
+            assert journal.fsyncs == journal.group_commits == 1
+            assert journal.durable_lsn == 1
 
     def test_group_commit_ignored_for_other_policies(self, tmp_path):
-        with Journal.open(
-            tmp_path, fsync="never", group_commit=True
-        ) as journal:
-            append_n(journal, 5)
-            assert journal.group_commits == 0
+        for policy in ("interval", "never"):
+            with Journal.open(tmp_path / policy, fsync=policy) as journal:
+                append_n(journal, 5)
+                journal.commit(journal.last_lsn)
+                assert journal.group_commits == 0
+
+    def test_acked_records_are_durable_under_contention(
+        self, tmp_path, monkeypatch
+    ):
+        """More writers than cores, a short switch interval and small
+        segments: every append returns with its record durable, and
+        each fsync issued is counted once, as a leader's or a
+        rotation's (a lost counter update breaks the sum)."""
+        issued = []
+        fsync = os.fsync
+
+        def counted(fd):
+            issued.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counted)
+        writers, per_writer = 8, 40
+        late = []
+        journal = Journal.open(tmp_path, fsync="always", segment_bytes=512)
+
+        def writer(worker):
+            for index in range(per_writer):
+                lsn = journal.append("answer", {"w": worker, "i": index})
+                if journal.durable_lsn < lsn:
+                    late.append(lsn)
+
+        threads = [
+            threading.Thread(target=writer, args=(worker,))
+            for worker in range(writers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert late == []
+        assert journal.rotations >= 2
+        assert journal.fsyncs == len(issued)
+        assert journal.fsyncs == journal.group_commits + journal.rotations
+        journal.close()
+        lsns = [r.lsn for r in read_records(tmp_path)]
+        assert lsns == list(range(1, writers * per_writer + 1))
+
+    def test_writers_append_while_the_leader_fsyncs(
+        self, tmp_path, monkeypatch
+    ):
+        """The leader fsyncs outside the journal lock: while it is
+        parked inside ``os.fsync``, a second writer's ``write`` returns,
+        and ``durable_lsn`` covers that record only after the next
+        fsync."""
+        fsync = ParkedFsync(monkeypatch)
+        journal = Journal.open(tmp_path, fsync="always")
+        leader, led = in_thread(journal.append, "answer", {"n": 1})
+        try:
+            assert fsync.parked.wait(10)
+            writer, written = in_thread(journal.write, [("answer", {"n": 2})])
+            writer.join(5)
+            assert written == [2], "write waited for the leader's fsync"
+            assert journal.durable_lsn == 0
+        finally:
+            fsync.release.set()
+            leader.join(10)
+        assert led == [1]
+        # the leader covered what was written when it began, no more
+        assert journal.durable_lsn == 1
+        journal.commit(2)
+        assert journal.durable_lsn == 2
+        assert journal.fsyncs == journal.group_commits == 2
+        journal.close()
+        assert [r.lsn for r in read_records(tmp_path)] == [1, 2]
+
+    def test_rotate_and_close_while_the_leader_fsyncs(
+        self, tmp_path, monkeypatch
+    ):
+        """A rotation and a close seal segments under the lock, each
+        fsyncing them, while the leader fsyncs its dup of the first
+        segment's fd outside the lock; the leader still returns."""
+        fsync = ParkedFsync(monkeypatch)
+        journal = Journal.open(tmp_path, fsync="always")
+        leader, led = in_thread(journal.append, "answer", {"n": 1})
+        try:
+            assert fsync.parked.wait(10)
+
+            def seal():
+                journal.write([("answer", {"n": 2})])
+                journal.rotate()
+                journal.write([("answer", {"n": 3})])
+                journal.close()
+                return journal.durable_lsn
+
+            sealer, sealed = in_thread(seal)
+            sealer.join(5)
+            assert sealed == [3]
+        finally:
+            fsync.release.set()
+            leader.join(10)
+        assert led == [1]
+        assert journal.durable_lsn == 3
+        assert len(segment_files(tmp_path)) == 2
+        assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3]
+
+    def test_a_failed_fsync_makes_nothing_durable(
+        self, tmp_path, monkeypatch
+    ):
+        """The leader's append raises and counts nothing; the next
+        commit leads a new fsync."""
+        fsync = os.fsync
+        calls = []
+
+        def failing_once(fd):
+            calls.append(fd)
+            if len(calls) == 1:
+                raise OSError("injected fsync failure")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_once)
+        with Journal.open(tmp_path, fsync="always") as journal:
+            with pytest.raises(OSError, match="injected"):
+                journal.append("answer", {"n": 1})
+            assert journal.durable_lsn == 0
+            assert journal.fsyncs == journal.group_commits == 0
+            journal.commit(1)
+            assert journal.durable_lsn == 1
+            assert journal.fsyncs == journal.group_commits == 1
 
 
 class TestRotation:

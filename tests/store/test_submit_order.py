@@ -64,13 +64,9 @@ def result_order(lms):
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["submit", "batch"])
-@pytest.mark.parametrize("group_commit", [False, True],
-                         ids=["plain", "group_commit"])
-def test_journal_submit_order_matches_commit_order(
-    tmp_path, batch, group_commit
-):
-    journal = Journal.open(tmp_path, fsync="always",
-                           group_commit=group_commit)
+@pytest.mark.parametrize("fsync", ["interval", "always"])
+def test_journal_submit_order_matches_commit_order(tmp_path, batch, fsync):
+    journal = Journal.open(tmp_path, fsync=fsync)
     held = HeldJournal(journal, "amy")
     lms = Lms(clock=ManualClock(100.0), journal=held)
     lms.offer_exam(build_exam())
@@ -105,7 +101,7 @@ def test_result_readers_do_not_wait_on_a_group_commit(tmp_path):
     while it is held back, ``results_for`` and the live analysis's
     partial (both under that lock) answer, and already hold the
     sitting."""
-    journal = Journal.open(tmp_path, fsync="always", group_commit=True)
+    journal = Journal.open(tmp_path, fsync="always")
     lms = Lms(clock=ManualClock(100.0), journal=journal)
     lms.offer_exam(build_exam())
     enroll_cohort(lms, ["amy"])
@@ -150,7 +146,7 @@ def test_concurrent_submits_journal_in_commit_order(tmp_path):
     submitting batches, over a group-committed journal: the log, the
     served results and the recovered results agree on one order."""
     learners = [f"l{index:02d}" for index in range(16)]
-    journal = Journal.open(tmp_path, fsync="always", group_commit=True)
+    journal = Journal.open(tmp_path, fsync="always")
     lms = Lms(clock=ManualClock(100.0), journal=journal)
     lms.offer_exam(build_exam())
     enroll_cohort(lms, learners)

@@ -12,6 +12,8 @@ import pytest
 
 from v1log import V1Log, open_log
 
+import repro.store.tail as tail_module
+from repro.core.errors import JournalCorruptError
 from repro.store.journal import (
     Journal,
     read_records,
@@ -89,9 +91,7 @@ class TestFollowingTheTip:
     def test_group_committed_batch_exactly_once_at_tip(self, tmp_path):
         """A group-committed batch lands at the tip between polls: the
         next poll yields the whole batch once; the one after, nothing."""
-        with Journal.open(
-            tmp_path, fsync="always", group_commit=True
-        ) as journal:
+        with Journal.open(tmp_path, fsync="always") as journal:
             append_n(journal, 3)
             tailer = JournalTailer(tmp_path)
             assert drain(tailer) == [1, 2, 3]
@@ -142,6 +142,60 @@ class TestFollowingTheTip:
         segment.write_bytes(complete)  # the append completes
         assert drain(tailer) == [4]
         assert drain(tailer) == []
+
+
+class TestMidLogDamage:
+    def test_a_damaged_record_with_newer_segments_raises(self, tmp_path):
+        """A record that fails to decode in a segment that a later one
+        follows is lost history, not a write in progress: the tailer
+        yields the whole records before it, then raises, as
+        ``read_records`` does, instead of parking there for ever."""
+        with Journal.open(
+            tmp_path, fsync="never", segment_bytes=200
+        ) as journal:
+            append_n(journal, 40)
+        segments = segment_files(tmp_path)
+        assert len(segments) == 4
+        damaged = segments[1]
+        raw = bytearray(damaged.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        damaged.write_bytes(bytes(raw))
+        with pytest.raises(JournalCorruptError, match="mid-log"):
+            list(read_records(tmp_path))
+        tailer = JournalTailer(tmp_path)
+        yielded = drain(tailer)
+        assert yielded == list(range(1, len(yielded) + 1))
+        assert yielded[-1] < segment_first_lsn(segments[2]) - 1
+        for _ in range(3):
+            with pytest.raises(JournalCorruptError, match="mid-log"):
+                tailer.poll()
+        assert tailer.position == yielded[-1]
+
+    def test_a_tip_record_finished_before_a_rotation_is_read(
+        self, tmp_path, monkeypatch
+    ):
+        """The writer can finish the torn tip record and rotate between
+        the tailer's scan and its listing: the rescan reads the record
+        instead of reporting damage."""
+        with Journal.open(tmp_path, fsync="never") as journal:
+            append_n(journal, 3)
+            tailer = JournalTailer(tmp_path)
+            assert drain(tailer) == [1, 2, 3]
+            (first,) = segment_files(tmp_path)
+            whole = first.read_bytes()
+            append_n(journal, 1, start=3)
+            journal.rotate()
+            append_n(journal, 2, start=4)
+        complete = first.read_bytes()
+        first.write_bytes(complete[: len(whole) + 2])
+        listing = tail_module.segment_files
+
+        def finish_then_list(directory):
+            first.write_bytes(complete)
+            return listing(directory)
+
+        monkeypatch.setattr(tail_module, "segment_files", finish_then_list)
+        assert drain(tailer) == [4, 5, 6]
 
 
 class TestRetirement:

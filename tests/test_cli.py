@@ -84,6 +84,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_group_commit_flag_is_accepted_but_hidden(self, capsys):
+        """``--fsync always`` always group-commits: the old flag still
+        parses, and ``serve --help`` no longer lists it."""
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(
+            ["serve", "--fsync", "always", "--group-commit"]
+        )
+        assert args.fsync == "always"
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        assert "--group-commit" not in capsys.readouterr().out
+
 
 class TestExport:
     def test_json_export_parses(self, capsys):
