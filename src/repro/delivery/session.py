@@ -7,7 +7,9 @@ sitting:
 * ``start`` → the learner sees items in their presentation order
   (fixed or per-learner random, §3.2 VI.C);
 * ``answer`` records a response with its elapsed timestamp (feeding the
-  §4.2.1 time-vs-answered figure);
+  §4.2.1 time-vs-answered figure); ``answer_all`` records several at
+  one timestamp, all or nothing, and holds the only copy of the checks
+  an answer must pass;
 * ``suspend``/``resume`` honour the exam's Resumable flag (§3.2 VI.B:
   "True means resumed and false means paused at a later time" — a
   non-resumable exam cannot be continued once suspended);
@@ -29,16 +31,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.errors import (
-    NotFoundError,
-    SessionStateError,
-    TimeLimitExceeded,
-)
+from repro.core.errors import SessionStateError, TimeLimitExceeded
 from repro.delivery.clock import Clock, WallClock
 from repro.exams.exam import Exam
 from repro.exams.ordering import presentation_order
+from repro.items.responses import ScoredResponse
 
 __all__ = ["SessionState", "AnswerEvent", "ExamSession"]
 
@@ -135,6 +134,25 @@ class ExamSession:
         self, item_id: str, response: object, now: Optional[float] = None
     ) -> AnswerEvent:
         """Record (or overwrite) the learner's answer to one item."""
+        self.answer_all([(item_id, response)], now)
+        return self._events[-1]
+
+    def answer_all(
+        self,
+        answers: Sequence[Tuple[str, object]],
+        now: Optional[float] = None,
+        *,
+        numbered: bool = False,
+    ) -> List[ScoredResponse]:
+        """Record (or overwrite) ``(item_id, response)`` answers, all or
+        nothing, at one elapsed time; returns each one's score.
+
+        Every answer is checked before any is recorded: the session is
+        in progress, the Test Time has not run out, the exam has the
+        item and the item accepts the response.  With ``numbered``, an
+        item's error names the answer's place in the list
+        (``answers[i] (item_id): ...``).
+        """
         if self._state is not SessionState.IN_PROGRESS:
             raise SessionStateError(
                 f"cannot answer in state {self._state.value}"
@@ -144,17 +162,25 @@ class ExamSession:
             raise TimeLimitExceeded(
                 f"test time of {self.exam.time_limit_seconds}s has expired"
             )
-        item = self.exam.item(item_id)  # raises NotFoundError for unknown ids
-        item.score(response)  # validates the response shape; result discarded
-        # keep the exam's own id object, not the caller's equal copy
-        event = AnswerEvent(
-            item_id=item.item_id,
-            response=response,
-            elapsed_seconds=self.elapsed_seconds(at),
-        )
-        self._answers[item.item_id] = event
-        self._events.append(event)
-        return event
+        elapsed = self.elapsed_seconds(at)
+        events: List[AnswerEvent] = []
+        scores: List[ScoredResponse] = []
+        for index, (item_id, response) in enumerate(answers):
+            try:
+                item = self.exam.item(item_id)  # NotFoundError if unknown
+                scores.append(item.score(response))  # checks the shape
+            except Exception as exc:
+                if not numbered:
+                    raise
+                raise type(exc)(
+                    f"answers[{index}] ({item_id!r}): {exc}"
+                ) from exc
+            # keep the exam's own id object, not the caller's equal copy
+            events.append(AnswerEvent(item.item_id, response, elapsed))
+        for event in events:
+            self._answers[event.item_id] = event
+        self._events.extend(events)
+        return scores
 
     def suspend(self, now: Optional[float] = None) -> None:
         """Pause the sitting (always allowed; *resuming* may not be)."""
@@ -193,12 +219,11 @@ class ExamSession:
 
     def response_to(self, item_id: str) -> Optional[object]:
         """The current response to an item (None when unanswered)."""
-        if item_id not in {item.item_id for item in self.exam.items}:
-            raise NotFoundError(
-                f"exam {self.exam.exam_id!r} has no item {item_id!r}"
-            )
         event = self._answers.get(item_id)
-        return event.response if event is not None else None
+        if event is None:
+            self.exam.item(item_id)  # NotFoundError for an item not in it
+            return None
+        return event.response
 
     def answered_item_ids(self) -> List[str]:
         """Item ids with a recorded answer, in first-answer order."""

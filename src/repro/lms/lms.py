@@ -6,7 +6,12 @@ machine, the tracking service, and the on-line exam monitor.  A sitting
 driven through :class:`LmsSitting` exercises the same call sequence a
 browser SCO would: launch → ``LMSInitialize`` → answers recorded both in
 the session and as ``cmi.interactions.n.*`` → ``LMSCommit`` →
-``LMSFinish``, with monitor captures along the way.
+``LMSFinish``, with monitor captures along the way.  Each step is coded
+once: :meth:`Lms._open_sitting` opens every sitting, for
+:meth:`Lms.start_exam` and checkpoint restore alike, and
+:meth:`Lms.answer` is the one-answer case of the loop
+:meth:`Lms.answer_batch` runs, whose checks live only in
+:meth:`~repro.delivery.session.ExamSession.answer_all`.
 
 **Durability** (:mod:`repro.store`): when a :class:`~repro.store.
 journal.Journal` is attached (``Lms(journal=...)`` or
@@ -44,7 +49,6 @@ from repro.core.errors import (
     NotFoundError,
     ResponseError,
     SessionStateError,
-    TimeLimitExceeded,
 )
 from repro.core.grouping import GroupSplit
 from repro.core.rules import DEFAULT_SPREAD_THRESHOLD
@@ -83,10 +87,15 @@ __all__ = ["Lms", "LmsSitting"]
 @dataclass
 class LmsSitting:
     """A learner's in-flight sitting: the delivery session plus its SCORM
-    API instance, managed by the LMS."""
+    API instance, managed by the LMS, which builds every one in
+    :meth:`Lms._open_sitting`."""
 
     session: ExamSession
     api: ApiAdapter
+    #: this sitting's own lock, counted in the LMS's ``LockStats``: two
+    #: requests for the *same* sitting serialize here while unrelated
+    #: sittings proceed concurrently
+    lock: InstrumentedRLock = field(repr=False, compare=False)
     interaction_count: int = 0
     #: item ids in this learner's presentation order (set at start)
     item_order: List[str] = field(default_factory=list)
@@ -95,11 +104,6 @@ class LmsSitting:
     #: information table it was started with, so an in-flight sitting is
     #: never switched mid-exam by a calibration swap.
     adaptive: "Optional[AdaptiveSession]" = None
-    #: this sitting's own lock: two requests for the *same* sitting
-    #: serialize here while unrelated sittings proceed concurrently
-    lock: InstrumentedRLock = field(
-        default_factory=InstrumentedRLock, repr=False, compare=False
-    )
 
     @property
     def learner_id(self) -> str:
@@ -394,23 +398,6 @@ class Lms:
             exam, version, parameters
         )
 
-    def _rebuild_adaptive(
-        self, exam: Exam, events: "List[Tuple[str, object]]"
-    ) -> "AdaptiveSession":
-        """Recreate a sitting's adaptive state from its ordered answer
-        events (snapshot restore): selection is deterministic, so
-        re-recording the same scored sequence rebuilds the same
-        posterior, theta trajectory, and next-item choice bit-for-bit."""
-        from repro.adaptive.online import AdaptiveSession
-
-        session = AdaptiveSession.for_exam(
-            self._adaptive_tables[exam.exam_id], exam.adaptive
-        )
-        for item_id, response in events:
-            scored = exam.item(item_id).score(response)
-            session.record(item_id, bool(scored.correct))
-        return session
-
     # -- delivery ------------------------------------------------------------------
 
     def start_exam(self, learner_id: str, exam_id: str) -> LmsSitting:
@@ -442,13 +429,37 @@ class Lms:
                 f"learner {learner_id!r} already has an open sitting of "
                 f"{exam_id!r}"
             )
-        api = self.rte.launch(
-            learner_id, exam_id, learner_name=learner.name
+        session = ExamSession(exam, learner_id, clock=self.clock)
+        sitting = self._open_sitting(session, learner, session.start(now))
+        self.tracking.record(
+            EventKind.LAUNCHED, learner_id, exam_id, now
         )
+        self.monitor.poll(learner_id, exam_id, session.elapsed_seconds(now))
+        self._emit(
+            "start", store_events.lifecycle_event(learner_id, exam_id, now)
+        )
+        return sitting
+
+    def _open_sitting(
+        self, session: ExamSession, learner: Learner, item_order: List[str]
+    ) -> LmsSitting:
+        """Open and hold the sitting of ``session``, new or restored:
+        launch the SCO and ``LMSInitialize`` it, give the sitting a lock
+        counted in :attr:`lock_stats` under ``learner:exam``, and pin an
+        adaptive exam's sitting to the exam's *current* table, so a later
+        calibration swap never changes its selections mid-exam.
+
+        :meth:`start_exam` and checkpoint restore both open sittings
+        here.  A restored session's answers then go through the step a
+        live answer takes (selection is deterministic, so the adaptive
+        state comes back bit-identical), and its suspend or finish is
+        re-issued on the CMI.
+        """
+        exam = session.exam
+        learner_id, exam_id = learner.learner_id, exam.exam_id
+        api = self.rte.launch(learner_id, exam_id, learner_name=learner.name)
         if api.LMSInitialize("") != "true":
             raise SessionStateError("SCORM API failed to initialize")
-        session = ExamSession(exam, learner_id, clock=self.clock)
-        item_order = session.start(now)
         sitting = LmsSitting(
             session=session,
             api=api,
@@ -460,19 +471,17 @@ class Lms:
         if exam.adaptive is not None:
             from repro.adaptive.online import AdaptiveSession
 
-            # pin the *current* table: a later calibration swap must not
-            # change this sitting's selections mid-exam
             sitting.adaptive = AdaptiveSession.for_exam(
                 self._adaptive_tables[exam_id], exam.adaptive
             )
-        self._sittings[key] = sitting
-        self.tracking.record(
-            EventKind.LAUNCHED, learner_id, exam_id, now
-        )
-        self.monitor.poll(learner_id, exam_id, session.elapsed_seconds(now))
-        self._emit(
-            "start", store_events.lifecycle_event(learner_id, exam_id, now)
-        )
+        for event in session.answer_events():
+            item = exam.item(event.item_id)
+            self._record_interaction(sitting, item, item.score(event.response))
+        if session.state is SessionState.SUSPENDED:
+            self._cmi_suspend(sitting)
+        elif session.state is SessionState.SUBMITTED:
+            self._cmi_finish(sitting, grade_session(session))
+        self._sittings[(learner_id, exam_id)] = sitting
         return sitting
 
     def sitting(self, learner_id: str, exam_id: str) -> LmsSitting:
@@ -517,22 +526,8 @@ class Lms:
                         f"adaptive policy expects item {expected!r} next, "
                         f"not {item_id!r}"
                     )
-            sitting.session.answer(item_id, response, now)
-            item = sitting.session.exam.item(item_id)
-            item_id = item.item_id
-            scored = item.score(response)
-            if adaptive is not None:
-                adaptive.record(item_id, bool(scored.correct))
-            self._cmi_record_answer(sitting, item_id, item, scored)
-            self.tracking.record(
-                EventKind.ANSWERED,
-                learner_id,
-                exam_id,
-                now,
-                detail=item_id,
-            )
-            self.monitor.poll(
-                learner_id, exam_id, sitting.session.elapsed_seconds(now)
+            (scored,) = self._record_answers(
+                sitting, [(item_id, response)], now
             )
             self._emit(
                 "answer",
@@ -598,48 +593,7 @@ class Lms:
         with sitting.lock:
             learner_id, exam_id = sitting.learner_id, sitting.exam_id
             now = self.clock.now()
-            session = sitting.session
-            # Phase 1 — validate every answer up front, mirroring the
-            # exact check order of ExamSession.answer, so the first bad
-            # answer rejects the whole batch before any state or journal
-            # change.
-            if session.state is not SessionState.IN_PROGRESS:
-                raise SessionStateError(
-                    f"cannot answer in state {session.state.value}"
-                )
-            if session.time_expired(now):
-                raise TimeLimitExceeded(
-                    f"test time of {session.exam.time_limit_seconds}s "
-                    f"has expired"
-                )
-            for index, (item_id, response) in enumerate(pairs):
-                try:
-                    item = session.exam.item(item_id)
-                    item.score(response)
-                except Exception as exc:
-                    raise type(exc)(
-                        f"answers[{index}] ({item_id!r}): {exc}"
-                    ) from exc
-            # Phase 2 — apply.  Everything below is deterministic given
-            # the validated inputs and the single timestamp, so it cannot
-            # fail partway: the batch is all-or-nothing.
-            scored: List[ScoredResponse] = []
-            for item_id, response in pairs:
-                session.answer(item_id, response, now)
-                item = session.exam.item(item_id)
-                one = item.score(response)
-                self._cmi_record_answer(sitting, item.item_id, item, one)
-                self.tracking.record(
-                    EventKind.ANSWERED,
-                    learner_id,
-                    exam_id,
-                    now,
-                    detail=item.item_id,
-                )
-                self.monitor.poll(
-                    learner_id, exam_id, session.elapsed_seconds(now)
-                )
-                scored.append(one)
+            scored = self._record_answers(sitting, pairs, now, numbered=True)
             batch = (
                 "answers",
                 store_events.answer_batch_event(
@@ -656,11 +610,41 @@ class Lms:
                 self.journal.append_batch([batch])
         return scored, graded
 
-    def _cmi_record_answer(
-        self, sitting: LmsSitting, item_id: str, item, scored: ScoredResponse
+    def _record_answers(
+        self,
+        sitting: LmsSitting,
+        pairs: "List[Tuple[str, object]]",
+        now: float,
+        *,
+        numbered: bool = False,
+    ) -> List[ScoredResponse]:
+        """The live answer step for one answer or a batch: the session
+        checks and records ``pairs`` all or nothing (``numbered`` as in
+        :meth:`ExamSession.answer_all`), then each answer gets its CMI
+        interaction and adaptive record, an ``answered`` tracking event
+        and a monitor poll.  The caller journals them."""
+        session = sitting.session
+        scored = session.answer_all(pairs, now, numbered=numbered)
+        learner_id, exam_id = sitting.learner_id, sitting.exam_id
+        elapsed = session.elapsed_seconds(now)
+        for (item_id, _), one in zip(pairs, scored):
+            item = session.exam.item(item_id)
+            self._record_interaction(sitting, item, one)
+            self.tracking.record(
+                EventKind.ANSWERED, learner_id, exam_id, now,
+                detail=item.item_id,
+            )
+            self.monitor.poll(learner_id, exam_id, elapsed)
+        return scored
+
+    def _record_interaction(
+        self, sitting: LmsSitting, item, scored: ScoredResponse
     ) -> None:
-        """Write one answer's ``cmi.interactions.n.*`` set (shared by the
-        live path and snapshot restore in :mod:`repro.lms.persistence`)."""
+        """One recorded answer's adaptive record and its
+        ``cmi.interactions.n.*`` set (live path and snapshot restore)."""
+        item_id = item.item_id
+        if sitting.adaptive is not None:
+            sitting.adaptive.record(item_id, bool(scored.correct))
         index = sitting.interaction_count
         api = sitting.api
         api.LMSSetValue(f"cmi.interactions.{index}.id", item_id)

@@ -11,7 +11,10 @@ launched on each exam — to a JSON file and restores them.
 Earlier revisions deliberately dropped in-flight sittings; with the
 :mod:`repro.store` write-ahead log those sittings are durable, so
 snapshots must carry them too or a checkpoint would truncate a learner
-mid-exam.
+mid-exam.  A restored sitting opens through the opener
+:meth:`Lms.start_exam` uses, which re-records its answers through the
+live answer step, so its SCORM conversation, adaptive state and lock
+accounting match a live one.
 
 Restores re-anchor the clock: the snapshot records the writer's
 ``clock.now()`` and :func:`load_lms` installs an
@@ -39,11 +42,11 @@ from typing import Dict, Iterator, List, Optional
 from repro.core.errors import BankError
 from repro.bank.exambank import exam_from_record, exam_to_record
 from repro.delivery.clock import OffsetClock
-from repro.delivery.scoring import GradedSitting, grade_session
-from repro.delivery.session import ExamSession, SessionState
+from repro.delivery.scoring import GradedSitting
+from repro.delivery.session import ExamSession
 from repro.items.responses import ScoredResponse
 from repro.lms.learners import Learner
-from repro.lms.lms import Lms, LmsSitting
+from repro.lms.lms import Lms
 from repro.lms.monitor import ExamMonitor
 from repro.lms.tracking import EventKind
 from repro.store.durable import write_durably
@@ -327,8 +330,20 @@ def lms_from_payload(payload: Dict[str, object], clock=None) -> Lms:
             float(record.get("timestamp", 0.0)),
             detail=record.get("detail", ""),
         )
+    # each sitting opens as start_exam opens one, then re-records its
+    # answers through the live answer step; sittings whose exam or
+    # learner the payload lacks are skipped, as in the enrollment loop
     for record in payload.get("sittings", []):
-        _restore_sitting(lms, record)
+        exam_id = str(record.get("exam_id", ""))
+        learner_id = str(record.get("learner_id", ""))
+        if exam_id in lms._exams and learner_id in lms.learners:
+            lms._open_sitting(
+                ExamSession.from_state(
+                    lms._exams[exam_id], record["session"], clock=lms.clock
+                ),
+                lms.learners.get(learner_id),
+                [str(item_id) for item_id in record.get("item_order", [])],
+            )
     # restoring a sitting launches it once; the SCORM launch counts
     # (re-sits included) come from the payload, when it has them
     for record in payload.get("attempts", []):
@@ -336,56 +351,6 @@ def lms_from_payload(payload: Dict[str, object], clock=None) -> Lms:
             str(record["learner_id"]), str(record["exam_id"])
         ).attempts = int(record["attempts"])
     return lms
-
-
-def _restore_sitting(lms: Lms, record: Dict[str, object]) -> None:
-    """Rebuild one sitting — delivery session plus its SCORM API.
-
-    The CMI record is regenerated by re-issuing the same interaction /
-    suspend / finish sequences the live LMS performed (via the shared
-    ``Lms._cmi_*`` helpers), so a restored sitting's SCORM conversation
-    matches what a browser SCO would have produced.  Sittings whose
-    exam or learner is absent from the snapshot are skipped, mirroring
-    the enrollment loop's tolerance.
-    """
-    exam_id = str(record.get("exam_id", ""))
-    learner_id = str(record.get("learner_id", ""))
-    if exam_id not in lms._exams or learner_id not in lms.learners:
-        return
-    exam = lms.exam(exam_id)
-    learner = lms.learners.get(learner_id)
-    state = record.get("session", {})
-    session = ExamSession.from_state(exam, state, clock=lms.clock)
-    api = lms.rte.launch(learner_id, exam_id, learner_name=learner.name)
-    if api.LMSInitialize("") != "true":
-        raise BankError(
-            f"SCORM API failed to initialize while restoring the sitting "
-            f"of {exam_id!r} by {learner_id!r}"
-        )
-    sitting = LmsSitting(
-        session=session,
-        api=api,
-        item_order=[str(item_id) for item_id in record.get("item_order", [])],
-    )
-    for event in state.get("events", []):
-        item = exam.item(str(event["item_id"]))
-        scored = item.score(event.get("response"))
-        lms._cmi_record_answer(sitting, str(event["item_id"]), item, scored)
-    if exam.adaptive is not None:
-        # re-record the same scored sequence: selection is deterministic,
-        # so the rebuilt posterior/trajectory is bit-identical to live
-        sitting.adaptive = lms._rebuild_adaptive(
-            exam,
-            [
-                (str(event["item_id"]), event.get("response"))
-                for event in state.get("events", [])
-            ],
-        )
-    if session.state is SessionState.SUSPENDED:
-        lms._cmi_suspend(sitting)
-    elif session.state is SessionState.SUBMITTED:
-        lms._cmi_finish(sitting, grade_session(session))
-    lms._sittings[(learner_id, exam_id)] = sitting
 
 
 def merge_payloads(payloads: List[Dict[str, object]]) -> Dict[str, object]:

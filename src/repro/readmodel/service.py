@@ -43,15 +43,9 @@ DEFAULT_POLL_INTERVAL = 0.05
 class ReadModelService:
     """A checkpoint-resumable WAL follower plus its query lock."""
 
-    def __init__(
-        self,
-        directory: "str | Path",
-        journal=None,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-    ) -> None:
+    def __init__(self, directory: "str | Path", journal=None) -> None:
         self.directory = Path(directory)
         self.journal = journal
-        self.poll_interval = float(poll_interval)
         self.lock = threading.RLock()
         self.model = self._resume()
         self._tailer = JournalTailer(
@@ -94,7 +88,7 @@ class ReadModelService:
                 # surfaced to queries via sync(), which retries from the
                 # failed record; the thread keeps going
                 obs.count("readmodel.follower.errors")
-            self._stop.wait(self.poll_interval)
+            self._stop.wait(DEFAULT_POLL_INTERVAL)
 
     def close(self) -> None:
         """Stop the follower thread (the model stays queryable)."""

@@ -228,3 +228,43 @@ class TestLmsWiring:
             thread.join(timeout=10)
         assert not errors
         assert len(lms.results_for(exam.exam_id)) == 2
+
+    def test_a_restored_sitting_counts_its_lock_like_a_replayed_one(
+        self, tmp_path
+    ):
+        """``amy``'s sitting is restored from a checkpoint and ``bob``'s
+        replayed from the WAL after it: an answer on either counts one
+        sitting-lock acquisition in the recovered LMS's stats."""
+        from repro.delivery.clock import ManualClock
+        from repro.lms.learners import Learner
+        from repro.lms.lms import Lms
+        from repro.sim.workloads import classroom_exam
+        from repro.store import Checkpointer, Journal, recover
+
+        exam = classroom_exam(4)
+        journal = Journal.open(tmp_path, fsync="never")
+        lms = Lms(clock=ManualClock(100.0), journal=journal)
+        lms.offer_exam(exam)
+        for learner_id in ("amy", "bob"):
+            lms.register_learner(
+                Learner(learner_id=learner_id, name=learner_id)
+            )
+            lms.enroll(learner_id, exam.exam_id)
+        lms.start_exam("amy", exam.exam_id)
+        lms.answer("amy", exam.exam_id, "q01", "A")
+        Checkpointer(lms, journal).checkpoint()
+        lms.start_exam("bob", exam.exam_id)
+        journal.close()
+
+        report = recover(tmp_path)
+        assert report.checkpoint_path is not None
+        recovered = report.lms
+
+        def acquisitions():
+            scopes = recovered.lock_stats.snapshot()["scopes"]
+            return scopes.get("sitting", {}).get("acquisitions", 0)
+
+        for learner_id in ("amy", "bob"):
+            before = acquisitions()
+            recovered.answer(learner_id, exam.exam_id, "q02", "B")
+            assert acquisitions() == before + 1, learner_id

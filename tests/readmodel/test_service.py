@@ -53,9 +53,7 @@ class TestSync:
         journal = Journal.open(tmp_path, fsync="never")
         lms, clock = journaled_lms(journal)
         enroll_cohort(lms, ["amy"])
-        service = ReadModelService(
-            tmp_path, journal=journal, poll_interval=0.01
-        )
+        service = ReadModelService(tmp_path, journal=journal)
         service.start()
         try:
             sit(lms, clock, "amy")
@@ -246,9 +244,7 @@ class TestFoldErrors:
         fail_first_enroll(monkeypatch)
         registry = Registry(enabled=True)
         previous = obs.set_registry(registry)
-        service = ReadModelService(
-            tmp_path, journal=journal, poll_interval=0.01
-        )
+        service = ReadModelService(tmp_path, journal=journal)
         service.start()
         try:
             deadline = time.monotonic() + 5.0
