@@ -124,24 +124,38 @@ _EXPORTS = {
 __all__ = ["__version__", *sorted(_EXPORTS)]
 
 
-def __getattr__(name):
-    """Lazy facade resolution (PEP 562): import on first attribute use."""
-    try:
-        module_name, attribute = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
+def _lazy_exports(namespace, exports):
+    """A facade's PEP 562 ``__getattr__`` and ``__dir__``.
 
-    module = importlib.import_module(module_name)
-    value = module if attribute is None else getattr(module, attribute)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
+    ``namespace`` is the facade's ``globals()``; ``exports`` maps a name
+    to ``(module, attribute)``, where a ``None`` attribute re-exports
+    the module itself.  A name is imported on first use and cached in
+    ``namespace``, so the next access skips ``__getattr__``.  It lives
+    here, not in a submodule, so that ``import repro`` loads no other
+    ``repro`` module.
+    """
+
+    def __getattr__(name):
+        try:
+            module_name, attribute = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}"
+            ) from None
+        import importlib
+
+        module = importlib.import_module(module_name)
+        value = module if attribute is None else getattr(module, attribute)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(namespace["__all__"]))
+
+    return __getattr__, __dir__
 
 
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis eyes only

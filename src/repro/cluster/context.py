@@ -32,6 +32,8 @@ __all__ = ["ClusterContext", "ROUTE_AFFINITY"]
 
 #: what a 503 for an unreachable shard tells clients to wait (seconds)
 SHARD_RETRY_AFTER_SECONDS = 1
+#: socket timeout of one exchange with a peer's direct port (seconds)
+PEER_TIMEOUT_SECONDS = 10.0
 
 #: route name -> where its learner id lives (``params`` or ``body``).
 #: Routes absent from this table have no learner affinity and are
@@ -60,7 +62,6 @@ class ClusterContext:
         ring: HashRing,
         direct_urls: Dict[str, str],
         front_url: Optional[str] = None,
-        timeout: float = 10.0,
     ) -> None:
         if shard not in ring:
             raise ValueError(f"shard {shard!r} is not on the ring")
@@ -71,7 +72,6 @@ class ClusterContext:
         self.ring = ring
         self.direct_urls = dict(direct_urls)
         self.front_url = front_url
-        self.timeout = timeout
 
     # -- placement -----------------------------------------------------------
 
@@ -124,7 +124,7 @@ class ClusterContext:
         url = self.direct_urls[shard]
         host, _, port = url.rpartition("//")[2].partition(":")
         connection = http.client.HTTPConnection(
-            host, int(port), timeout=self.timeout
+            host, int(port), timeout=PEER_TIMEOUT_SECONDS
         )
         try:
             headers = {"Content-Type": "application/json"}

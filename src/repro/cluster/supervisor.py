@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.context import ClusterContext
-from repro.cluster.ring import DEFAULT_REPLICAS, HashRing
+from repro.cluster.ring import HashRing
 
 __all__ = ["ExamCluster", "WorkerSpec"]
 
@@ -53,7 +53,6 @@ class WorkerSpec:
     direct_port: int
     front_port: int
     shard_urls: Dict[str, str]
-    replicas: int = DEFAULT_REPLICAS
     wal_dir: Optional[str] = None
     server_options: Dict[str, object] = field(default_factory=dict)
 
@@ -65,7 +64,7 @@ def _worker_main(spec: WorkerSpec) -> None:
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns ^C
-    ring = HashRing(spec.shard_urls.keys(), replicas=spec.replicas)
+    ring = HashRing(spec.shard_urls.keys())
     cluster = ClusterContext(
         shard=spec.shard,
         ring=ring,
@@ -106,7 +105,9 @@ class ExamCluster:
     ``server_options`` (``fsync``, ``max_in_flight``, ``readmodel``,
     ...) go unchanged to every worker's
     :class:`~repro.server.app.ExamServer`, whose WAL directory is
-    ``wal_root/shard-N``.
+    ``wal_root/shard-N``.  Every worker's ring has
+    :data:`~repro.cluster.ring.DEFAULT_REPLICAS` points per shard, so a
+    restart routes each learner back to the shard whose WAL holds them.
     """
 
     def __init__(
@@ -115,9 +116,6 @@ class ExamCluster:
         host: str = "127.0.0.1",
         front_port: int = 0,
         wal_root: Optional["str | Path"] = None,
-        replicas: int = DEFAULT_REPLICAS,
-        watchdog: bool = True,
-        ready_timeout: float = 30.0,
         **server_options,
     ) -> None:
         if workers < 1:
@@ -135,8 +133,6 @@ class ExamCluster:
         self.host = host
         self.workers = workers
         self.wal_root = Path(wal_root) if wal_root is not None else None
-        self.ready_timeout = ready_timeout
-        self._watchdog_enabled = watchdog
         self.shards = [f"shard-{index}" for index in range(workers)]
         # reserve every port up front: topology before any child exists
         self._placeholders: List[socket.socket] = []
@@ -162,7 +158,6 @@ class ExamCluster:
                 direct_port=self.direct_ports[shard],
                 front_port=self.front_port,
                 shard_urls=shard_urls,
-                replicas=replicas,
                 wal_dir=wal_dir,
                 server_options=server_options,
             )
@@ -200,12 +195,11 @@ class ExamCluster:
             raise RuntimeError("cluster already started")
         for shard in self.shards:
             self._spawn(shard)
-        if self._watchdog_enabled:
-            self._watch_thread = threading.Thread(
-                target=self._watch, name="mine-assess-watchdog", daemon=True
-            )
-            self._watch_thread.start()
-        self.wait_ready(self.ready_timeout)
+        self._watch_thread = threading.Thread(
+            target=self._watch, name="mine-assess-watchdog", daemon=True
+        )
+        self._watch_thread.start()
+        self.wait_ready()
         return self
 
     def _spawn(self, shard: str) -> None:
@@ -258,8 +252,8 @@ class ExamCluster:
     def kill_worker(self, shard: str, sig: int = signal.SIGKILL) -> int:
         """Send a signal to one worker (crash injection for tests).
 
-        Returns the pid that was signalled.  With the watchdog on, a
-        killed worker is respawned and recovers from its WAL.
+        Returns the pid that was signalled.  The watchdog respawns a
+        killed worker, which recovers from its WAL.
         """
         pid = self._processes[shard].pid
         os.kill(pid, sig)

@@ -527,19 +527,11 @@ class LiveCohortAnalysis:
     sweep (split + counts) when the cohort changed — the interning and
     scoring work done at ingest time is never repeated, so keeping an
     analysis warm is far cheaper than recomputing from raw responses.
+    The analysis is :meth:`ResponseMatrix.analyze` at its defaults.
     """
 
-    def __init__(
-        self,
-        questions: Sequence[QuestionSpec],
-        split: GroupSplit = GroupSplit(),
-        policy: SignalPolicy = DEFAULT_POLICY,
-        spread_threshold: float = DEFAULT_SPREAD_THRESHOLD,
-    ) -> None:
+    def __init__(self, questions: Sequence[QuestionSpec]) -> None:
         self._matrix = ResponseMatrix(questions)
-        self._split = split
-        self._policy = policy
-        self._spread_threshold = spread_threshold
         self._cached: Optional[CohortAnalysis] = None
 
     def __len__(self) -> int:
@@ -601,11 +593,7 @@ class LiveCohortAnalysis:
         """The current cohort's analysis (cached until the cohort changes)."""
         if self._cached is None:
             obs.count("live.cache.misses")
-            self._cached = self._matrix.analyze(
-                split=self._split,
-                policy=self._policy,
-                spread_threshold=self._spread_threshold,
-            )
+            self._cached = self._matrix.analyze()
         else:
             obs.count("live.cache.hits")
         return self._cached

@@ -464,9 +464,7 @@ class Lms:
             session=session,
             api=api,
             item_order=item_order,
-            lock=InstrumentedRLock(
-                self.lock_stats, "sitting", f"{learner_id}:{exam_id}"
-            ),
+            lock=InstrumentedRLock(self.lock_stats, f"{learner_id}:{exam_id}"),
         )
         if exam.adaptive is not None:
             from repro.adaptive.online import AdaptiveSession

@@ -126,16 +126,13 @@ class ShardLock:
     so an in-flight request can finish and release.
     """
 
-    def __init__(
-        self, stats: Optional[LockStats] = None, scope: str = "shard"
-    ) -> None:
+    def __init__(self, stats: LockStats) -> None:
         self._cond = threading.Condition()
         self._writer: Optional[int] = None
         self._writer_depth = 0
         self._readers: Dict[int, int] = {}  # thread ident -> depth
         self._writers_waiting = 0
         self._stats = stats
-        self._scope = scope
 
     # -- exclusive (the legacy coarse-lock surface) --------------------------
 
@@ -146,7 +143,7 @@ class ShardLock:
         with self._cond:
             if self._writer == me:
                 self._writer_depth += 1
-                self._note(f"{self._scope}.exclusive", None)
+                self._note("shard.exclusive", None)
                 return True
             if self._readers.get(me):
                 raise RuntimeError(
@@ -162,7 +159,7 @@ class ShardLock:
                 self._writers_waiting -= 1
             self._writer = me
             self._writer_depth = 1
-        self._note(f"{self._scope}.exclusive", began)
+        self._note("shard.exclusive", began)
         return True
 
     def release(self) -> None:
@@ -207,7 +204,7 @@ class ShardLock:
                     while self._writer is not None or self._writers_waiting:
                         self._cond.wait()
                     self._readers[me] = 1
-        self._note(f"{self._scope}.shared", began)
+        self._note("shard.shared", began)
         try:
             yield self
         finally:
@@ -228,8 +225,6 @@ class ShardLock:
     # -- plumbing ------------------------------------------------------------
 
     def _note(self, scope: str, began: Optional[float]) -> None:
-        if self._stats is None:
-            return
         waited = (time.perf_counter() - began) if began is not None else 0.0
         self._stats.record(scope, waited, began is not None)
 
@@ -242,31 +237,20 @@ class InstrumentedRLock:
     learner instead of an anonymous aggregate.
     """
 
-    def __init__(
-        self,
-        stats: Optional[LockStats] = None,
-        scope: str = "sitting",
-        label: Optional[str] = None,
-    ) -> None:
+    def __init__(self, stats: LockStats, label: str) -> None:
         self._lock = threading.RLock()
         self._stats = stats
-        self._scope = scope
         self._label = label
 
     def __enter__(self) -> "InstrumentedRLock":
         if self._lock.acquire(blocking=False):
-            if self._stats is not None:
-                self._stats.record(self._scope, 0.0, False)
+            self._stats.record("sitting", 0.0, False)
             return self
         began = time.perf_counter()
         self._lock.acquire()
-        if self._stats is not None:
-            self._stats.record(
-                self._scope,
-                time.perf_counter() - began,
-                True,
-                label=self._label,
-            )
+        self._stats.record(
+            "sitting", time.perf_counter() - began, True, label=self._label
+        )
         return self
 
     def __exit__(self, *exc_info) -> None:

@@ -102,11 +102,10 @@ def gauge(name: str, value: float, **tags: Any) -> None:
     registry.gauge(name, value, **tags)
 
 
-def enable(*sinks: Any, sample_every: int = 1) -> Registry:
+def enable(*sinks: Any) -> Registry:
     """Switch the default registry on, attaching any given sinks."""
     registry = _registry
     registry.enabled = True
-    registry.sample_every = sample_every
     for sink in sinks:
         registry.add_sink(sink)
     return registry

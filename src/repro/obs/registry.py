@@ -101,9 +101,8 @@ class SpanRecord:
 class _NoopSpan:
     """The shared disabled-path span: enter/exit do nothing.
 
-    One instance (:data:`NOOP_SPAN`) serves every disabled or sampled-out
-    ``obs.span`` call, so the off switch costs a flag check and nothing
-    else.
+    One instance (:data:`NOOP_SPAN`) serves every disabled ``obs.span``
+    call, so the off switch costs a flag check and nothing else.
     """
 
     __slots__ = ()
@@ -120,31 +119,6 @@ class _NoopSpan:
 
 #: The singleton returned whenever a span is not being recorded.
 NOOP_SPAN = _NoopSpan()
-
-
-class _SampledOutSpan:
-    """A root span the sampler skipped: suppresses its whole subtree.
-
-    Unlike :data:`NOOP_SPAN` it must track scope, so that spans opened
-    underneath it know they belong to a discarded root rather than
-    starting new roots of their own.
-    """
-
-    __slots__ = ("_registry",)
-
-    def __init__(self, registry: "Registry") -> None:
-        self._registry = registry
-
-    def tag(self, **tags: Any) -> "_SampledOutSpan":
-        return self
-
-    def __enter__(self) -> "_SampledOutSpan":
-        local = self._registry._local
-        local.suppress = getattr(local, "suppress", 0) + 1
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._registry._local.suppress -= 1
 
 
 class _Span:
@@ -193,35 +167,20 @@ class _Span:
 class Registry:
     """A process-local collection point for spans, counters, and gauges.
 
-    ``enabled`` gates everything; ``sample_every=N`` records only every
-    Nth *root* span (nested spans follow their root's fate), which keeps
-    per-request profiling affordable under heavy traffic.  Sinks receive
-    each completed root span tree as a dict event, plus counter/gauge
-    snapshots on :meth:`flush`.
+    ``enabled`` gates everything; the newest :data:`DEFAULT_MAX_ROOTS`
+    completed root spans are retained.  Sinks receive each completed
+    root span tree as a dict event, plus counter/gauge snapshots on
+    :meth:`flush`.
     """
 
-    def __init__(
-        self,
-        enabled: bool = False,
-        sample_every: int = 1,
-        max_roots: int = DEFAULT_MAX_ROOTS,
-    ) -> None:
-        if sample_every < 1:
-            raise ValueError(
-                f"sample_every must be >= 1, got {sample_every}"
-            )
-        if max_roots < 1:
-            raise ValueError(f"max_roots must be >= 1, got {max_roots}")
+    def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.sample_every = sample_every
-        self.max_roots = max_roots
         self._lock = threading.Lock()
         self._local = threading.local()
         self._roots: List[SpanRecord] = []
         self._counters: Dict[str, float] = {}
         self._gauges: Dict[str, float] = {}
         self._sinks: List[Any] = []
-        self._root_seq = 0  # sampling decisions are deterministic
 
     # -- span plumbing ----------------------------------------------------
 
@@ -240,19 +199,13 @@ class Registry:
         """
         if not self.enabled:
             return NOOP_SPAN
-        if getattr(self._local, "suppress", 0):
-            return NOOP_SPAN  # inside a sampled-out root's subtree
-        if self.sample_every > 1 and not self._stack():
-            self._root_seq += 1
-            if (self._root_seq - 1) % self.sample_every:
-                return _SampledOutSpan(self)
         return _Span(self, name, tags)
 
     def _finish_root(self, record: SpanRecord) -> None:
         with self._lock:
             self._roots.append(record)
-            if len(self._roots) > self.max_roots:
-                del self._roots[: len(self._roots) - self.max_roots]
+            if len(self._roots) > DEFAULT_MAX_ROOTS:
+                del self._roots[: len(self._roots) - DEFAULT_MAX_ROOTS]
         event = record.to_dict()
         for sink in list(self._sinks):
             sink.emit(event)
@@ -361,7 +314,6 @@ class Registry:
             self._roots.clear()
             self._counters.clear()
             self._gauges.clear()
-            self._root_seq = 0
 
     def timed(self, name: str, **tags: Any) -> Callable:
         """Decorator form of :meth:`span` for whole functions."""

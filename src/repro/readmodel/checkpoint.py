@@ -25,6 +25,7 @@ apply whenever encountered below the LSN bound.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -131,10 +132,13 @@ def as_of(
     the number of suffix records replayed on top of the checkpoint (the
     measure of how bounded the query was).  LSN targets are per-shard
     coordinates; timestamp targets are meaningful across shards (one
-    wall clock) and are how the cluster surface time-travels.
+    wall clock) and are how the cluster surface time-travels.  A ``ts``
+    that is NaN or infinite raises :class:`StoreError`.
     """
     if (lsn is None) == (ts is None):
         raise StoreError("as_of needs exactly one of lsn= or ts=")
+    if ts is not None and not math.isfinite(ts):
+        raise StoreError(f"as_of ts must be a finite time, got {ts!r}")
     base = Path(directory)
     checkpoint = latest_readmodel_checkpoint(base, at_or_below=lsn)
     if checkpoint is not None and ts is not None:

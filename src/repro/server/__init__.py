@@ -7,8 +7,8 @@ package is that serving layer, dependency-free (stdlib ``http.server``):
 * :class:`~repro.server.app.ExamServer` — a threaded REST service over
   one :class:`~repro.lms.lms.Lms`: offerings, enrollment, the full
   sitting lifecycle, live analysis, reports, and monitor metrics, with
-  per-route observability, bounded-queue backpressure, graceful
-  drain, and atomic state snapshots;
+  per-route counters, bounded-queue backpressure, graceful drain, and
+  a write-ahead log with periodic checkpoints as its persistence;
 * :mod:`~repro.server.loadgen` — a load-generation client that drives
   seeded simulated cohorts (the :mod:`repro.sim` learner and
   response-time models) through the HTTP API concurrently and reports
@@ -22,6 +22,7 @@ never imports it or the simulation models behind it.
 
 from typing import TYPE_CHECKING
 
+from repro import _lazy_exports
 from repro.server.app import ExamServer
 from repro.server.errors import ApiError, api_error_from_exception
 from repro.server.handlers import ServerContext, build_router
@@ -43,12 +44,13 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    if name in ("LoadgenReport", "run_loadgen"):
-        from repro.server import loadgen
-
-        return getattr(loadgen, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = _lazy_exports(
+    globals(),
+    {
+        name: ("repro.server.loadgen", name)
+        for name in ("LoadgenReport", "run_loadgen")
+    },
+)
 
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis eyes only

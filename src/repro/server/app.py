@@ -307,7 +307,6 @@ class ExamServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-        registry: Optional["obs.Registry"] = None,
         max_body_bytes: int = 8 * 1024 * 1024,
         wal_dir: Optional["str | Path"] = None,
         fsync: str = "interval",
@@ -317,10 +316,9 @@ class ExamServer:
         reuse_port: bool = False,
         readmodel: bool = False,
     ) -> None:
-        if registry is None:
-            # the server counts even when global profiling is off:
-            # /metrics must always have data
-            registry = obs.Registry(enabled=True)
+        # the server counts even when global profiling is off:
+        # /metrics must always have data
+        registry = obs.Registry(enabled=True)
         self.wal_dir = Path(wal_dir) if wal_dir is not None else None
         self.journal = None
         self.checkpointer = None
@@ -410,8 +408,8 @@ class ExamServer:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def add_front_listener(self, port: int, host: Optional[str] = None) -> None:
-        """Listen on an additional (``SO_REUSEPORT``) port for the same app.
+    def add_front_listener(self, port: int) -> None:
+        """Listen on another (``SO_REUSEPORT``) port of the bound host.
 
         The sharded tier calls this with the cluster's shared front
         port: every worker binds it, the kernel spreads incoming
@@ -421,11 +419,7 @@ class ExamServer:
         """
         if self._thread is not None:
             raise RuntimeError("server already started")
-        front = _Http(
-            (host if host is not None else self.host, port),
-            self,
-            reuse_port=True,
-        )
+        front = _Http((self.host, port), self, reuse_port=True)
         self._extra_httpds.append(front)
 
     def _start_extra_listeners(self) -> None:

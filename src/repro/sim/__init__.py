@@ -11,6 +11,8 @@ numpy batch engines, :mod:`repro.sim.vectorized` and
 
 from typing import TYPE_CHECKING
 
+from repro import _lazy_exports
+
 #: name -> the submodule that defines it
 _EXPORTS = {
     "AdaptiveCohortData": "repro.sim.adaptive_cohort",
@@ -38,22 +40,9 @@ _EXPORTS = {
 __all__ = list(_EXPORTS)
 
 
-def __getattr__(name):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value  # cache: next access skips __getattr__
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_exports(
+    globals(), {name: (module, name) for name, module in _EXPORTS.items()}
+)
 
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis eyes only

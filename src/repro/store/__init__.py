@@ -27,6 +27,8 @@ is what keeps that mutual reference acyclic.
 
 from typing import TYPE_CHECKING
 
+from repro import _lazy_exports
+
 _EXPORTS = {
     "FSYNC_POLICIES": ("repro.store.journal", "FSYNC_POLICIES"),
     "Journal": ("repro.store.journal", "Journal"),
@@ -54,22 +56,7 @@ _EXPORTS = {
 __all__ = sorted(_EXPORTS)
 
 
-def __getattr__(name):
-    try:
-        module_name, attribute = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attribute)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis eyes only

@@ -137,7 +137,7 @@ class TestStats:
 
     def test_sitting_lock_reports_its_label(self):
         stats = LockStats()
-        lock = InstrumentedRLock(stats, "sitting", "amy:exam-1")
+        lock = InstrumentedRLock(stats, "amy:exam-1")
         blocking = threading.Event()
         go = threading.Event()
 
@@ -170,7 +170,7 @@ class TestStats:
 
     def test_uncontended_acquire_is_not_contended(self):
         stats = LockStats()
-        lock = InstrumentedRLock(stats, "sitting", "solo:exam")
+        lock = InstrumentedRLock(stats, "solo:exam")
         with lock:
             pass
         snapshot = stats.snapshot()

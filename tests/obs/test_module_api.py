@@ -50,13 +50,6 @@ class TestModuleHelpers:
             "span", "counters"
         ]
 
-    def test_enable_sample_every(self, fresh_registry):
-        obs.enable(sample_every=2)
-        for _ in range(4):
-            with obs.span("req"):
-                pass
-        assert len(obs.snapshot()["spans"]) == 2
-
     def test_reset_clears_state(self, fresh_registry):
         obs.enable()
         with obs.span("s"):

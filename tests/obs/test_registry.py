@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro.obs import NOOP_SPAN, Registry
+from repro.obs.registry import DEFAULT_MAX_ROOTS
 
 
 class TestSpans:
@@ -69,11 +70,13 @@ class TestSpans:
         assert "error" not in payload
 
     def test_max_roots_retention(self):
-        registry = Registry(enabled=True, max_roots=3)
-        for index in range(5):
+        registry = Registry(enabled=True)
+        for index in range(DEFAULT_MAX_ROOTS + 2):
             with registry.span(f"r{index}"):
                 pass
-        assert [root.name for root in registry.roots] == ["r2", "r3", "r4"]
+        assert [root.name for root in registry.roots] == [
+            f"r{index}" for index in range(2, DEFAULT_MAX_ROOTS + 2)
+        ]
 
     def test_threads_get_independent_stacks(self):
         registry = Registry(enabled=True)
@@ -110,43 +113,6 @@ class TestSpans:
         assert add(2, 3) == 5
         assert add.__name__ == "add" and add.__doc__ == "Adds."
         assert [root.name for root in registry.roots] == ["fn.add"]
-
-
-class TestSampling:
-    def test_sample_every_records_one_in_n_roots(self):
-        registry = Registry(enabled=True, sample_every=3)
-        for _ in range(9):
-            with registry.span("req"):
-                with registry.span("child"):
-                    pass
-        assert len(registry.roots) == 3
-        # children of sampled-out roots vanish with them
-        assert all(len(root.children) == 1 for root in registry.roots)
-
-    def test_nested_spans_follow_their_root(self):
-        registry = Registry(enabled=True, sample_every=2)
-        with registry.span("kept"):  # root 1 of 2: recorded
-            assert registry.span("inner") is not NOOP_SPAN
-
-    def test_sampled_out_root_suppresses_descendants(self):
-        registry = Registry(enabled=True, sample_every=2)
-        with registry.span("kept"):
-            pass
-        with registry.span("dropped"):  # root 2 of 2: sampled out
-            assert registry.span("inner") is NOOP_SPAN
-            with registry.span("inner"):
-                pass
-        with registry.span("kept-again"):
-            pass
-        assert [root.name for root in registry.roots] == [
-            "kept", "kept-again"
-        ]
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            Registry(sample_every=0)
-        with pytest.raises(ValueError):
-            Registry(max_roots=0)
 
 
 class TestCountersAndGauges:

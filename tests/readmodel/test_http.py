@@ -168,6 +168,14 @@ class TestTimeTravel:
         )
         assert status == 400
 
+    @pytest.mark.parametrize("ts", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_ts_rejected(self, client, ts):
+        status, payload = client.get(
+            f"/admin/analytics/exams/{EXAM_ID}/analysis?as_of_ts={ts}"
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "bad_request"
+
 
 class TestObservability:
     def test_metrics_carry_store_and_readmodel_sections(self, client):

@@ -145,6 +145,16 @@ class TestAsOf:
         with pytest.raises(StoreError):
             as_of(tmp_path, lsn=3, ts=100.0)
 
+    @pytest.mark.parametrize("ts", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_ts_rejected(self, tmp_path, ts):
+        # NaN compares false against every stamp, so no checkpoint would
+        # qualify and no record would stop the replay: the whole journal
+        # would be answered as a past instant
+        journal, _, _ = drive(tmp_path)
+        with pytest.raises(StoreError, match="finite"):
+            as_of(tmp_path, ts=ts)
+        journal.close()
+
     def test_lsn_target_uses_nearest_checkpoint(self, tmp_path):
         journal, lms, _ = drive(tmp_path)
         mid = journal.last_lsn
