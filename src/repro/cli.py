@@ -483,6 +483,7 @@ def _cmd_inspect(args) -> int:
 def _cmd_serve(args) -> int:
     import signal
 
+    from repro.core.errors import AssessmentError
     from repro.server.app import ExamServer
 
     if args.readmodel and args.wal_dir is None:
@@ -495,12 +496,16 @@ def _cmd_serve(args) -> int:
         return _serve_cluster(args)
     # with --wal-dir the server recovers from the newest checkpoint +
     # WAL suffix before serving; without it, it starts empty in memory
-    server = ExamServer(
-        host=args.host,
-        port=args.port,
-        wal_dir=args.wal_dir,
-        **_server_options(args),
-    )
+    try:
+        server = ExamServer(
+            host=args.host,
+            port=args.port,
+            wal_dir=args.wal_dir,
+            **_server_options(args),
+        )
+    except AssessmentError as exc:  # the WAL that recovery refuses
+        print(f"recovery failed: {exc}", file=sys.stderr)
+        return 2
     if server.recovery_report is not None:
         print(server.recovery_report.summary(), file=sys.stderr)
     print(f"serving on {server.url}", flush=True)

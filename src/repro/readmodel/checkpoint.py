@@ -34,7 +34,7 @@ from repro.core.errors import StoreError
 from repro.readmodel.model import ReadModel
 from repro.store.durable import LsnFiles, write_durably
 from repro.store.events import event_timestamp
-from repro.store.journal import read_records, segment_files, segment_first_lsn
+from repro.store.journal import check_retired, read_records, segment_files
 
 __all__ = [
     "readmodel_files",
@@ -102,18 +102,17 @@ def rebuild(directory: "str | Path") -> ReadModel:
 
     The differential-oracle path: over an unretired journal this
     reproduces exactly the state the streaming fold reached.  Raises
-    :class:`StoreError` when compaction already retired the journal's
-    head — a rebuild from 0 would silently miss history, so it refuses.
+    :class:`~repro.store.journal.TailTruncatedError` when compaction
+    already retired the journal's head — a rebuild from 0 would silently
+    miss history, so it refuses.
     """
     base = Path(directory)
-    segments = segment_files(base)
-    if segments and segment_first_lsn(segments[0]) > 1:
-        raise StoreError(
-            f"cannot rebuild from lsn 0: records 1.."
-            f"{segment_first_lsn(segments[0]) - 1} were retired by "
-            f"checkpoint compaction (oldest surviving segment is "
-            f"{segments[0].name}); use a read-model checkpoint instead"
-        )
+    check_retired(
+        segment_files(base),
+        0,
+        "they were retired by checkpoint compaction, so a rebuild from "
+        "lsn 0 cannot see them; use a read-model checkpoint instead",
+    )
     model = ReadModel()
     with obs.span("readmodel.rebuild"):
         model.apply_all(read_records(base))
@@ -133,7 +132,9 @@ def as_of(
     measure of how bounded the query was).  LSN targets are per-shard
     coordinates; timestamp targets are meaningful across shards (one
     wall clock) and are how the cluster surface time-travels.  A ``ts``
-    that is NaN or infinite raises :class:`StoreError`.
+    that is NaN or infinite raises :class:`StoreError`, and so do
+    records above the checkpoint that were retired
+    (:class:`~repro.store.journal.TailTruncatedError`).
     """
     if (lsn is None) == (ts is None):
         raise StoreError("as_of needs exactly one of lsn= or ts=")
@@ -153,14 +154,12 @@ def as_of(
             else:
                 break
     model = load_readmodel(checkpoint) if checkpoint else ReadModel()
-    segments = segment_files(base)
-    if segments and segment_first_lsn(segments[0]) > model.applied_lsn + 1:
-        raise StoreError(
-            f"records {model.applied_lsn + 1}.."
-            f"{segment_first_lsn(segments[0]) - 1} were retired and no "
-            f"read-model checkpoint covers them; checkpoint the read "
-            f"model before compacting"
-        )
+    check_retired(
+        segment_files(base),
+        model.applied_lsn,
+        "they were retired and no read-model checkpoint covers them; "
+        "checkpoint the read model before compacting",
+    )
     replayed = 0
     with obs.span("readmodel.as_of"):
         for record in read_records(base, start_lsn=model.applied_lsn):

@@ -25,8 +25,7 @@ unchanged after an upgrade):
   binary segment.
 
 Each format has one offset-based decoder, called only by
-:func:`scan_segment`, through which recovery and the
-:class:`~repro.store.tail.JournalTailer` both read.
+:func:`scan_segment`, through which every reader reads.
 
 Durability levels (``fsync`` policy):
 
@@ -46,13 +45,13 @@ Every policy flushes Python's userspace buffer per append, so a record
 that was acknowledged to a caller is never lost to a killed *process* —
 that invariant is what the crash-injection suite proves.
 
-Reading tolerates a **torn tail**: a record that fails to parse or
-checksum in the *final* segment marks the end of the log (everything
-after it is ignored, and :meth:`Journal.open` physically truncates it).
-The same failure in an earlier segment is real corruption and raises
-:class:`JournalCorruptError`.  So does a binary segment whose header has
-the right magic but a version this reader does not know, wherever it
-is: a newer build wrote it, and no reader here may drop or repair it.
+Every reader (:func:`read_records`, recovery, :meth:`Journal.open`,
+the read model's ``rebuild`` and ``as_of``, and the tailer) applies the
+same three rules, each written once here: :func:`check_scan` tells a
+torn tip from damage, :func:`check_dense` finds holes in the LSN
+sequence, and :func:`check_retired` finds history retired above a
+reader's start LSN.  ``docs/durability.md`` ("Reading the log")
+tabulates what each reader does under each.
 """
 
 from __future__ import annotations
@@ -78,7 +77,12 @@ __all__ = [
     "Journal",
     "JournalRecord",
     "TailScan",
+    "TailTruncatedError",
+    "check_dense",
+    "check_retired",
+    "check_scan",
     "read_records",
+    "scan_log",
     "scan_segment",
     "segment_files",
     "segment_first_lsn",
@@ -184,8 +188,8 @@ class TailScan:
     torn_bytes: int = 0
     #: the decode error that ended the scan, if any
     error: Optional[str] = None
-    #: the binary header is whole but its magic is wrong: unlike a torn
-    #: record, no later write can make it readable
+    #: the binary header is whole but its magic is wrong
+    #: (:func:`check_scan` tells damage from a zeroed page)
     bad_header: bool = False
     #: the binary header's version (0 for JSONL, or when no whole header
     #: was read)
@@ -299,6 +303,85 @@ def start_segment_index(segments: Sequence[Path], start_lsn: int) -> int:
     return max(index, 0)
 
 
+class TailTruncatedError(StoreError):
+    """Records above a reader's start LSN were retired by checkpoint
+    compaction: the oldest surviving segment starts past them, and the
+    reader must start from a newer checkpoint instead."""
+
+
+def check_scan(path: Path, scan: TailScan, final: bool) -> None:
+    """The damage rule: raise :class:`JournalCorruptError` unless
+    ``scan`` of ``path`` is clean or ends in a torn tip.
+
+    A record that fails to decode is a torn tip (``scan.torn_bytes``
+    are the bytes a crash cut short) only in the ``final`` segment;
+    anywhere else records follow it.  A whole header with the wrong
+    magic is damage wherever records decode behind it, while a first
+    page zeroed by a power loss decodes nothing and stays a torn tip.
+    """
+    if scan.error is None:
+        return
+    if scan.bad_header and scan_segment(
+        path, binfmt.SEGMENT_HEADER_LEN
+    ).records:
+        raise JournalCorruptError(
+            f"segment {path.name}: {scan.error}, with whole records "
+            f"behind it"
+        )
+    if not final:
+        raise JournalCorruptError(
+            f"segment {path.name} is corrupt mid-log (offset "
+            f"{scan.valid_bytes}): {scan.error}"
+        )
+
+
+def check_dense(
+    path: Path, records: Sequence[JournalRecord], previous: int
+) -> int:
+    """The density check: each of ``records`` (read from ``path``) must
+    carry the LSN after the one before it, the first ``previous + 1``.
+    Returns the last LSN (``previous`` when there are none); raises
+    :class:`JournalCorruptError` naming the missing range."""
+    for record in records:
+        if record.lsn != previous + 1:
+            raise JournalCorruptError(
+                f"records {previous + 1}..{record.lsn - 1} are missing: "
+                f"segment {path.name} holds lsn {record.lsn} after lsn "
+                f"{previous}"
+            )
+        previous = record.lsn
+    return previous
+
+
+def check_retired(segments: Sequence[Path], start_lsn: int, hint: str) -> None:
+    """The retired-history check: raise :class:`TailTruncatedError`,
+    worded with the caller's ``hint``, when the oldest of ``segments``
+    starts above ``start_lsn + 1``, so a reader that needs every record
+    after ``start_lsn`` never reads around retired history."""
+    if not segments:
+        return
+    oldest = segment_first_lsn(segments[0])
+    if oldest > start_lsn + 1:
+        raise TailTruncatedError(
+            f"records {start_lsn + 1}..{oldest - 1} are missing: {hint} "
+            f"(the oldest WAL segment is {segments[0].name})"
+        )
+
+
+def scan_log(segments: Sequence[Path]) -> Iterator[TailScan]:
+    """Scan ``segments``, consecutive and oldest first, one at a time
+    under :func:`check_scan` (the last is the final one) and
+    :func:`check_dense` (from the first one's name on)."""
+    previous = 0
+    for index, path in enumerate(segments):
+        scan = scan_segment(path)
+        check_scan(path, scan, final=index == len(segments) - 1)
+        if index == 0:
+            previous = segment_first_lsn(path) - 1
+        previous = check_dense(path, scan.records, previous)
+        yield scan
+
+
 def read_records(
     directory: "str | Path", start_lsn: int = 0
 ) -> Iterator[JournalRecord]:
@@ -308,24 +391,17 @@ def read_records(
     that cannot contain ``lsn > start_lsn`` are skipped by filename
     (:func:`start_segment_index`) without decoding a byte — opening a
     reader at an arbitrary LSN mid-log costs one segment scan, not the
-    whole history.  Tolerates a torn tail on the final segment
-    (iteration just ends there); a bad record in any earlier *scanned*
-    segment raises :class:`JournalCorruptError` because records after
-    it exist — that is data loss in the middle of history, not an
-    interrupted append.
+    whole history.  The segments read go through :func:`scan_log`, so a
+    torn tip ends the iteration and damage or a hole raises
+    :class:`JournalCorruptError`.  History retired above ``start_lsn``
+    is not checked: the records then start at the oldest segment, and a
+    caller that must see every record calls :func:`check_retired`.
     """
     segments = segment_files(directory)
     if not segments:
         return
     first = start_segment_index(segments, start_lsn)
-    for index in range(first, len(segments)):
-        path = segments[index]
-        scan = scan_segment(path)
-        if scan.error is not None and index < len(segments) - 1:
-            raise JournalCorruptError(
-                f"segment {path.name} is corrupt mid-log ({scan.error}); "
-                f"{len(segments) - index - 1} newer segment(s) follow"
-            )
+    for scan in scan_log(segments[first:]):
         for record in scan.records:
             if record.lsn > start_lsn:
                 yield record
@@ -396,7 +472,8 @@ class Journal:
     ) -> "Journal":
         """Open (creating if needed) the WAL in ``directory``.
 
-        An existing log is scanned: the final segment's torn tail, if
+        An existing log's final segment is scanned under
+        :func:`check_scan` and :func:`check_dense`: its torn tip, if
         any, is physically truncated away, and appends continue from
         the next LSN.  Existing segments keep their own format, so
         opening an old JSONL directory upgrades the log mid-stream: the
@@ -404,8 +481,8 @@ class Journal:
         segment.  A binary tail with an older header version is
         upgraded the same way; one that holds no record is restarted
         under the current header instead.  A tail whose header version
-        is unknown raises :class:`JournalCorruptError` and is left
-        untouched.
+        is unknown, or that either check finds damaged, raises
+        :class:`JournalCorruptError` and is left untouched.
         """
         base = Path(directory)
         base.mkdir(parents=True, exist_ok=True)
@@ -416,6 +493,12 @@ class Journal:
         if segments:
             tail = segments[-1]
             scan = scan_segment(tail)
+            check_scan(tail, scan, final=True)
+            # an empty (or fully torn) final segment: the previous LSN
+            # is one less than the first this file would hold
+            journal._last_lsn = check_dense(
+                tail, scan.records, segment_first_lsn(tail) - 1
+            )
             if scan.torn_bytes:
                 with tail.open("r+b") as stream:
                     stream.truncate(scan.valid_bytes)
@@ -423,12 +506,6 @@ class Journal:
                     os.fsync(stream.fileno())
                 journal.repaired_bytes = scan.torn_bytes
                 journal._count("store.tail.repaired_bytes", scan.torn_bytes)
-            if scan.records:
-                journal._last_lsn = scan.records[-1].lsn
-            else:
-                # an empty (or fully torn) final segment: the previous
-                # LSN is one less than the first this file would hold
-                journal._last_lsn = segment_first_lsn(tail) - 1
             # whatever survived the open scan is on disk by definition
             journal._durable_lsn = journal._last_lsn
             if scan.version == binfmt.SEGMENT_VERSION:

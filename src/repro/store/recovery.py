@@ -15,17 +15,14 @@ Idempotence / dedup: records with ``lsn <=`` the snapshot's ``wal_lsn``
 are already folded into the snapshot and are skipped, so recovering
 from any checkpoint plus the remaining WAL suffix converges on the same
 state — the invariant that makes compaction
-(:mod:`repro.store.checkpoint`) safe.  The suffix must start right
-above the snapshot: when the oldest segment begins further up (its
-predecessors were retired against a newer snapshot that is gone),
-recovery raises :class:`~repro.core.errors.StoreError` naming the
-missing LSN range rather than replay around the hole.
+(:mod:`repro.store.checkpoint`) safe.
 
-A torn tail (a record cut short by the crash) is *expected*, not
-corruption: the journal reader stops at the first damaged record of the
-final segment, and the report says how many bytes were dropped.  Damage
-anywhere else raises
-:class:`~repro.core.errors.JournalCorruptError`.
+Recovery reads the log from its oldest segment through
+:func:`~repro.store.journal.scan_log`, after
+:func:`~repro.store.journal.check_retired` from the snapshot's LSN, so
+it applies the journal's reading rules: a torn tip ends the log and the
+report counts its bytes, while damage, a hole, or records retired
+between the snapshot and the oldest segment raise.
 """
 
 from __future__ import annotations
@@ -33,11 +30,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.errors import JournalCorruptError, StoreError
 from repro.store import events as store_events
-from repro.store.journal import scan_segment, segment_files, segment_first_lsn
+from repro.store.journal import check_retired, scan_log, segment_files
 
 __all__ = ["ReplayClock", "RecoveryReport", "recover", "state_fingerprint"]
 
@@ -133,8 +129,9 @@ def recover(wal_dir: "str | Path") -> RecoveryReport:
     :class:`~repro.store.journal.Journal` afterwards and
     :meth:`~repro.lms.lms.Lms.attach_journal` it — attaching before
     replay would re-journal every replayed event.  Raises
-    :class:`~repro.core.errors.StoreError` when the WAL lacks records
-    between the snapshot and its oldest segment.
+    :class:`~repro.store.journal.TailTruncatedError` when the WAL lacks
+    records between the snapshot and its oldest segment, and
+    :class:`~repro.core.errors.JournalCorruptError` on damage or a hole.
     """
     # local imports: this module is reached lazily via the package
     # facade precisely so repro.lms ←→ repro.store stays acyclic
@@ -156,55 +153,34 @@ def recover(wal_dir: "str | Path") -> RecoveryReport:
         checkpoint_lsn = 0
         lms = Lms(clock=clock)
     segments = segment_files(wal_path)
-    if segments and segment_first_lsn(segments[0]) > checkpoint_lsn + 1:
-        covered_by = (
-            f"checkpoint {checkpoint_path.name} covers lsn {checkpoint_lsn}"
-            if checkpoint_path is not None
-            else "there is no checkpoint"
-        )
-        raise StoreError(
-            f"records {checkpoint_lsn + 1}.."
-            f"{segment_first_lsn(segments[0]) - 1} are missing: "
-            f"{covered_by} and the oldest WAL segment is {segments[0].name}"
-        )
+    check_retired(
+        segments,
+        checkpoint_lsn,
+        f"checkpoint {checkpoint_path.name} covers lsn {checkpoint_lsn}"
+        if checkpoint_path is not None
+        else "there is no checkpoint",
+    )
     report = RecoveryReport(
         lms=lms,
         checkpoint_path=checkpoint_path,
         checkpoint_lsn=checkpoint_lsn,
         last_lsn=checkpoint_lsn,
     )
-    for record in _journal_records(segments, report):
-        if record.lsn <= checkpoint_lsn:
-            report.records_skipped += 1
-            continue
-        clock.pin(store_events.event_timestamp(record.type, record.data))
-        store_events.apply_event(lms, record.type, record.data)
-        report.records_replayed += 1
-        if record.type == "answers":
-            report.batched_answers += len(record.data.get("answers", ()))
-        report.last_lsn = record.lsn
+    for scan in scan_log(segments):
+        # only the final segment's scan can end in a torn tip
+        report.torn_bytes = scan.torn_bytes
+        for record in scan.records:
+            if record.lsn <= checkpoint_lsn:
+                report.records_skipped += 1
+                continue
+            clock.pin(store_events.event_timestamp(record.type, record.data))
+            store_events.apply_event(lms, record.type, record.data)
+            report.records_replayed += 1
+            if record.type == "answers":
+                report.batched_answers += len(record.data.get("answers", ()))
+            report.last_lsn = record.lsn
     clock.go_live()
     return report
-
-
-def _journal_records(segments: List[Path], report: RecoveryReport):
-    """Every decodable record, LSN order; accounts the torn tail.
-
-    Matches :func:`repro.store.journal.read_records` semantics — damage
-    in a non-final segment raises, damage in the final one ends the log
-    — but keeps the dropped-byte count for the report.
-    """
-    for index, segment in enumerate(segments):
-        scan = scan_segment(segment)
-        if scan.error is not None and index < len(segments) - 1:
-            raise JournalCorruptError(
-                f"segment {segment.name} is damaged mid-log "
-                f"(offset {scan.valid_bytes}): {scan.error}"
-            )
-        if scan.error is not None:
-            report.torn_bytes = scan.torn_bytes
-        for record in scan.records:
-            yield record
 
 
 # -- differential equality ------------------------------------------------------

@@ -10,31 +10,23 @@ and before every query).  The tailer is a pure reader — it opens
 segment files read-only, keeps a byte offset into the active one, and
 never touches the writer's :class:`~repro.store.journal.Journal`
 instance — so it can run in the serving process (the read-model
-thread) or in a completely separate one.  It decodes
-from that offset with :func:`~repro.store.journal.scan_segment`, the
-decoder recovery uses, so the two cannot disagree on framing.
+thread) or in a completely separate one.
 
-What it survives, by design:
-
-* **mid-read segment rotation** — a sealed segment is drained to its
-  last record, then the successor (named ``wal-<last_lsn + 1>``) is
-  picked up in the same poll;
-* **seal-and-continue upgrades** — a v1 JSONL tail or a version-2
-  binary tail, sealed by a reopen that writes version 3, is followed
-  into its successor segment transparently (the format is re-detected
-  per segment);
-* **a torn tail** — a half-written record at the tip is *not* an
-  error: the tailer holds its offset at the last whole record and
-  retries, so a group-committed batch is seen exactly once, never as a
-  duplicate or a mangled prefix.  A record that fails to decode in a
-  segment that a later one follows is damage, not a write in progress:
-  it raises :class:`~repro.core.errors.JournalCorruptError`, as
-  recovery does;
-* **checkpoint retirement behind it** — segments the tailer has fully
-  consumed may be deleted underneath it; it re-locates by filename.
-  Retirement *ahead* of its position means records it never saw are
-  gone, which raises :class:`TailTruncatedError` — the caller must
-  restart from a newer read-model checkpoint.
+It decodes from that offset with
+:func:`~repro.store.journal.scan_segment` and applies the journal's
+reading rules to what it reads: :func:`~repro.store.journal.check_scan`
+(a torn tip is held and retried; damage raises),
+:func:`~repro.store.journal.check_dense` on the records it yields (a
+hole raises), and :func:`~repro.store.journal.check_retired` wherever
+it positions (retirement *ahead* of it raises :class:`TailTruncatedError`,
+and the caller restarts from a newer read-model checkpoint; retirement
+behind it is invisible).  A poll that meets an error after reading
+whole records returns them, and the next poll raises.  One thing is the
+tailer's own: the writer can finish the tip record, or append more, and
+rotate between a scan and the listing that shows the segment sealed, so
+a sealed segment that looks damaged or short is rescanned once before
+the rules judge it.  It follows rotations and the v1→binary and v2→v3
+seal-and-continue upgrades, re-detecting the format per segment.
 """
 
 from __future__ import annotations
@@ -43,9 +35,14 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import obs
-from repro.core.errors import JournalCorruptError, StoreError
+from repro.core.errors import StoreError
 from repro.store.journal import (
     JournalRecord,
+    TailScan,
+    TailTruncatedError,
+    check_dense,
+    check_retired,
+    check_scan,
     scan_segment,
     segment_files,
     segment_first_lsn,
@@ -53,13 +50,6 @@ from repro.store.journal import (
 )
 
 __all__ = ["JournalTailer", "TailTruncatedError"]
-
-
-class TailTruncatedError(StoreError):
-    """Records between the tailer's position and the oldest surviving
-    segment were retired by checkpoint compaction; the follower cannot
-    continue without losing history and must restart from a newer
-    read-model checkpoint."""
 
 
 class JournalTailer:
@@ -96,11 +86,14 @@ class JournalTailer:
         """
         self.polls += 1
         records: List[JournalRecord] = []
-        while True:
-            if self._segment is None and not self._locate():
-                break
-            if not self._scan_active(records):
-                break
+        try:
+            while self._segment is not None or self._locate():
+                if not self._scan_active(records):
+                    break
+        except StoreError:
+            if not records:
+                raise
+            # whole records first; the next poll raises again
         if records:
             self.records_read += len(records)
             obs.count("tail.records", len(records))
@@ -120,14 +113,13 @@ class JournalTailer:
         segments = segment_files(self.directory)
         if not segments:
             return False
-        if segment_first_lsn(segments[0]) > self._lsn + 1:
-            raise TailTruncatedError(
-                f"records after lsn {self._lsn} were retired: the oldest "
-                f"surviving segment is {segments[0].name}; restart the "
-                f"follower from a newer checkpoint"
-            )
-        index = start_segment_index(segments, self._lsn)
-        self._enter_segment(segments[index])
+        check_retired(
+            segments,
+            self._lsn,
+            "they were retired ahead of the follower; restart it from a "
+            "newer read-model checkpoint",
+        )
+        self._enter_segment(segments[start_segment_index(segments, self._lsn)])
         return True
 
     def _enter_segment(self, path: Path) -> None:
@@ -145,50 +137,44 @@ class JournalTailer:
             segments = segments[segments.index(self._segment) + 1:]
         return segments
 
-    def _advance_if_sealed(self) -> bool:
-        """Move to the successor segment when the current one is sealed
-        exactly at our position; True when the tailer advanced."""
-        for path in self._later_segments():
-            if segment_first_lsn(path) == self._lsn + 1:
-                self._enter_segment(path)
-                return True
-        return False
-
     # -- scanning -------------------------------------------------------------
 
     def _scan_active(self, records: List[JournalRecord]) -> bool:
         """Decode what the active segment holds past our offset; True
         when the poll loop should spin again (more may be readable)."""
-        for _attempt in range(2):
+        rescanned = False
+        while True:
             try:
                 scan = scan_segment(self._segment, self._offset)
             except FileNotFoundError:
                 # retired underneath us after we drained it; re-locate
-                # (the gap check in _locate catches retirement *ahead*
-                # of us)
                 self._segment = None
                 return True
-            if scan.bad_header:
-                raise JournalCorruptError(
-                    f"segment {self._segment.name}: {scan.error}"
-                )
-            for record in scan.records:
-                if record.lsn > self._lsn:
-                    records.append(record)
-                    self._lsn = record.lsn
-            self._offset = scan.valid_bytes
-            if scan.error is None:
-                # cleanly at EOF: sealed-and-rotated segments hand over
-                return self._advance_if_sealed()
-            if not self._later_segments():
-                # torn final record: hold position, retry on the next poll
+            self._take(scan, records)
+            later = self._later_segments()
+            if not later:
+                # the tip: held at a torn record until the next poll
+                check_scan(self._segment, scan, final=True)
                 return False
-            # a later segment means the writer sealed this one, so the
-            # record is damaged, unless the writer finished it and
+            if rescanned or (
+                not scan.torn_bytes
+                and segment_first_lsn(later[0]) <= self._lsn + 1
+            ):
+                # sealed: a hole before later[0] fails the density
+                # check of its first record
+                check_scan(self._segment, scan, final=False)
+                self._enter_segment(later[0])
+                return True
+            # a later segment means the writer sealed this one, but it
+            # may have finished the torn record, or appended more, and
             # rotated after our scan: rescan once to tell
-        if records:
-            return False  # whole records first; the next poll raises
-        raise JournalCorruptError(
-            f"segment {self._segment.name} is corrupt mid-log "
-            f"({scan.error}); newer segments follow"
-        )
+            rescanned = True
+
+    def _take(self, scan: TailScan, records: List[JournalRecord]) -> None:
+        """Move past ``scan``, collecting its records above our mark."""
+        fresh = [record for record in scan.records if record.lsn > self._lsn]
+        check_dense(self._segment, fresh, self._lsn)
+        if fresh:
+            records.extend(fresh)
+            self._lsn = fresh[-1].lsn
+        self._offset = scan.valid_bytes

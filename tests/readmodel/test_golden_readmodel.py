@@ -15,8 +15,9 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.core.errors import JournalCorruptError
 from repro.obs import Registry
-from repro.readmodel import ReadModel, readmodel_files, rebuild
+from repro.readmodel import ReadModel, as_of, readmodel_files, rebuild
 from repro.readmodel.service import ReadModelService
 from repro.server.serialize import analysis_to_dict
 
@@ -98,3 +99,16 @@ def test_the_recovered_lms_serves_the_same_analyses(wal):
     for exam_id, entry in expected()["exams"].items():
         served = analysis_to_dict(lms.live_analysis(exam_id))
         assert as_json(served) == as_json(entry["analysis"])
+
+
+def test_a_lost_middle_segment_fails_every_reader(wal):
+    """Without its middle segment the log lacks records 3..120: ``as_of``
+    past the fixture checkpoint, a rebuild and a recovery all name them
+    rather than fold around the hole."""
+    from repro.store import recover
+
+    (wal / "wal-00000000000000000003.walb").unlink()
+    for read in (lambda: as_of(wal, lsn=130), lambda: rebuild(wal),
+                 lambda: recover(wal)):
+        with pytest.raises(JournalCorruptError, match=r"records 3\.\.120 "):
+            read()

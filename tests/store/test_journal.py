@@ -525,14 +525,30 @@ class TestHeaderVersions:
         self.set_version(tail, 3)
         assert [r.lsn for r in read_records(tmp_path)] == list(range(1, 7))
 
-    def test_wrong_magic_is_still_a_torn_tail(self, tmp_path):
+    def test_wrong_magic_with_records_behind_it_raises(self, tmp_path):
+        # no crash writes a whole header with the wrong magic in front
+        # of whole records: dropping them would lose acknowledged writes
         tail = self.rotated(tmp_path)
-        size = tail.stat().st_size
-        tail.write_bytes(b"XXXX" + tail.read_bytes()[4:])
-        assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3]
+        damaged = b"XXXX" + tail.read_bytes()[4:]
+        tail.write_bytes(damaged)
+        with pytest.raises(JournalCorruptError, match="magic"):
+            list(read_records(tmp_path))
+        with pytest.raises(JournalCorruptError, match="magic"):
+            recover(tmp_path)
+        with pytest.raises(JournalCorruptError, match="magic"):
+            Journal.open(tmp_path, fsync="never")
+        assert tail.read_bytes() == damaged
+
+    def test_zeroed_header_with_nothing_behind_is_a_torn_tail(self, tmp_path):
+        # a power loss can leave a new segment's first page zeroed
+        tail = self.rotated(tmp_path)
+        tail.write_bytes(bytes(SEGMENT_HEADER_LEN))
+        assert recover(tmp_path).torn_bytes == SEGMENT_HEADER_LEN
         with Journal.open(tmp_path, fsync="never") as journal:
-            assert journal.repaired_bytes == size
+            assert journal.repaired_bytes == SEGMENT_HEADER_LEN
             assert journal.append("register", register_event("z", "", "")) == 4
+        assert tail.read_bytes()[:SEGMENT_HEADER_LEN] == segment_header()
+        assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3, 4]
 
     def test_v2_tail_is_sealed_and_continued_in_v3(self, tmp_path):
         tail = self.rotated(tmp_path)

@@ -253,6 +253,37 @@ class TestServe:
         assert newest.name > f"checkpoint-{0:020d}.json"
         assert sorted(load_lms(newest).learners.ids()) == ["amy", "bob"]
 
+    def test_a_wal_that_recovery_refuses_exits_2(self, tmp_path, capsys):
+        from repro.store import Journal, segment_files
+        from repro.store.events import register_event
+
+        wal_dir = tmp_path / "wal"
+        with Journal.open(wal_dir, fsync="never") as journal:
+            journal.append("register", register_event("amy", "Amy", ""))
+        (segment,) = segment_files(wal_dir)
+        raw = bytearray(segment.read_bytes())
+        raw[4:6] = (99).to_bytes(2, "little")  # a newer build's header
+        segment.write_bytes(bytes(raw))
+        code = main(["serve", "--port", "0", "--wal-dir", str(wal_dir)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "recovery failed: segment wal-"
+        )
+        assert segment.read_bytes() == bytes(raw)
+
+    def test_a_port_in_use_is_not_reported_as_recovery(self, tmp_path):
+        import socket
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError):
+                main([
+                    "serve", "--port", str(port),
+                    "--wal-dir", str(tmp_path / "wal"),
+                ])
+
 
 class TestLoadgen:
     def test_loadgen_against_in_process_server(self, tmp_path, capsys):
