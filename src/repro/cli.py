@@ -534,6 +534,7 @@ def _server_options(args) -> dict:
 def _serve_cluster(args) -> int:
     """serve --workers N: the sharded multi-process delivery tier."""
     from repro.cluster.supervisor import ExamCluster
+    from repro.core.errors import StoreError
 
     cluster = ExamCluster(
         workers=args.workers,
@@ -542,7 +543,12 @@ def _serve_cluster(args) -> int:
         wal_root=args.wal_dir,
         **_server_options(args),
     )
-    with cluster:
+    try:
+        cluster.start()
+    except StoreError as exc:  # the worker printed why recovery failed
+        print(f"serve: {exc}", file=sys.stderr)
+        return 2
+    try:
         for shard in cluster.shards:
             print(
                 f"  {shard}: {cluster.worker_url(shard)}", file=sys.stderr
@@ -562,6 +568,8 @@ def _serve_cluster(args) -> int:
                 pass
         except KeyboardInterrupt:
             print("shutting down workers", file=sys.stderr)
+    finally:
+        cluster.stop()
     return 0
 
 

@@ -79,9 +79,6 @@ class ClusterContext:
         """The shard owning this learner's state."""
         return self.ring.route(learner_id)
 
-    def is_local(self, learner_id: str) -> bool:
-        return self.owner(learner_id) == self.shard
-
     def peers(self) -> List[str]:
         """Every shard except this one, ring order."""
         return [name for name in self.ring.shards if name != self.shard]

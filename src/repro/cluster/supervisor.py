@@ -8,8 +8,9 @@
    sockets keep the kernel from giving the port to anyone else, so the
    whole topology is known — and shippable to every child — before any
    worker exists, with no bind race.
-2. **Fork the workers.**  Each child builds its own
-   :class:`~repro.lms.lms.Lms` (recovered from its shard's WAL
+2. **Fork the workers.**  Each child is a copy of the parent and reads
+   its settings from the copied :class:`ExamCluster`.  It builds its
+   own :class:`~repro.lms.lms.Lms` (recovered from its shard's WAL
    directory when one is configured), wraps it in an
    :class:`~repro.server.app.ExamServer` listening on its direct port
    *and* the shared front port (both ``SO_REUSEPORT``), and serves
@@ -18,7 +19,9 @@
    The replacement re-binds the same ports and replays the shard's WAL,
    so a SIGKILL costs one shard a recovery window — during which its
    peers answer ``503 shard_unavailable`` + ``Retry-After`` for its
-   learners — and nothing else.
+   learners — and nothing else.  A worker whose recovery refuses its
+   WAL exits :data:`RECOVERY_REFUSED` and is not restarted: a replay
+   of the same bytes would fail the same way.
 """
 
 from __future__ import annotations
@@ -28,58 +31,54 @@ import multiprocessing
 import os
 import signal
 import socket
+import sys
 import threading
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.context import ClusterContext
 from repro.cluster.ring import HashRing
+from repro.core.errors import AssessmentError, StoreError
 
-__all__ = ["ExamCluster", "WorkerSpec"]
+__all__ = ["ExamCluster"]
 
 #: watchdog poll period (seconds)
 WATCH_INTERVAL = 0.25
+#: a worker's exit code when recovery refuses its WAL (as for
+#: ``serve --wal-dir``); the watchdog does not restart such a worker
+RECOVERY_REFUSED = 2
 
 
-@dataclass
-class WorkerSpec:
-    """Everything one worker process needs to come up, fork-shippable.
-    ``server_options`` go to the worker's ``ExamServer`` unchanged."""
+def _worker_main(cluster: "ExamCluster", shard: str) -> None:
+    """The child process: one shard's ExamServer until SIGTERM.
 
-    shard: str
-    host: str
-    direct_port: int
-    front_port: int
-    shard_urls: Dict[str, str]
-    wal_dir: Optional[str] = None
-    server_options: Dict[str, object] = field(default_factory=dict)
-
-
-def _worker_main(spec: WorkerSpec) -> None:
-    """The child process: one shard's ExamServer until SIGTERM."""
+    ``cluster`` is the forked copy of the parent's :class:`ExamCluster`,
+    which holds every setting the worker needs."""
     from repro.server.app import ExamServer
 
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns ^C
-    ring = HashRing(spec.shard_urls.keys())
-    cluster = ClusterContext(
-        shard=spec.shard,
-        ring=ring,
-        direct_urls=spec.shard_urls,
-        front_url=f"http://{spec.host}:{spec.front_port}",
+    urls = {name: cluster.worker_url(name) for name in cluster.shards}
+    context = ClusterContext(
+        shard=shard, ring=HashRing(urls), direct_urls=urls,
+        front_url=cluster.url,
     )
-    server = ExamServer(
-        host=spec.host,
-        port=spec.direct_port,
-        wal_dir=spec.wal_dir,
-        cluster=cluster,
-        reuse_port=True,
-        **spec.server_options,
-    )
-    server.add_front_listener(spec.front_port)
+    root = cluster.wal_root
+    try:
+        server = ExamServer(
+            host=cluster.host,
+            port=cluster.direct_ports[shard],
+            wal_dir=root / shard if root is not None else None,
+            cluster=context,
+            reuse_port=True,
+            **cluster.server_options,
+        )
+    except AssessmentError as exc:  # the WAL that recovery refuses
+        print(f"recovery failed: {exc}", file=sys.stderr)
+        sys.exit(RECOVERY_REFUSED)
+    server.add_front_listener(cluster.front_port)
     server.start()
     try:
         # Event.wait in a loop: a bare wait() can sit in an
@@ -143,24 +142,11 @@ class ExamCluster:
             placeholder, port = _reserve_port(host)
             self._placeholders.append(placeholder)
             self.direct_ports[shard] = port
-        shard_urls = {
-            shard: f"http://{host}:{port}"
-            for shard, port in self.direct_ports.items()
-        }
-        self._specs: Dict[str, WorkerSpec] = {}
-        for shard in self.shards:
-            wal_dir = None
-            if self.wal_root is not None:
-                wal_dir = str(self.wal_root / shard)
-            self._specs[shard] = WorkerSpec(
-                shard=shard,
-                host=host,
-                direct_port=self.direct_ports[shard],
-                front_port=self.front_port,
-                shard_urls=shard_urls,
-                wal_dir=wal_dir,
-                server_options=server_options,
-            )
+        self.server_options = server_options
+        # fork, not spawn: a worker is a copy of this process, so it
+        # reads its settings from this object, and whatever ran before
+        # the cluster was built (signal handlers, wrappers around repro
+        # functions) is in place in every worker too
         self._context = multiprocessing.get_context("fork")
         self._processes: Dict[str, multiprocessing.Process] = {}
         self._stopping = False
@@ -179,10 +165,6 @@ class ExamCluster:
         """One shard's direct URL."""
         return f"http://{self.host}:{self.direct_ports[shard]}"
 
-    @property
-    def worker_urls(self) -> List[str]:
-        return [self.worker_url(shard) for shard in self.shards]
-
     def pid(self, shard: str) -> int:
         """The live worker process id for a shard."""
         return self._processes[shard].pid
@@ -199,13 +181,17 @@ class ExamCluster:
             target=self._watch, name="mine-assess-watchdog", daemon=True
         )
         self._watch_thread.start()
-        self.wait_ready()
+        try:
+            self.wait_ready()
+        except BaseException:
+            self.stop()
+            raise
         return self
 
     def _spawn(self, shard: str) -> None:
         process = self._context.Process(
             target=_worker_main,
-            args=(self._specs[shard],),
+            args=(self, shard),
             name=f"mine-assess-{shard}",
             daemon=True,
         )
@@ -218,19 +204,26 @@ class ExamCluster:
             for shard in self.shards:
                 if self._stopping:
                     return
-                process = self._processes.get(shard)
-                if process is not None and not process.is_alive():
-                    process.join()
+                # exitcode reaps a dead worker; None while it runs
+                code = self._processes[shard].exitcode
+                if code is not None and code != RECOVERY_REFUSED:
                     self.restarts[shard] += 1
                     self._spawn(shard)
 
     def wait_ready(self, timeout: float = 30.0) -> None:
-        """Block until every worker's direct /healthz answers 200."""
+        """Block until every worker's direct /healthz answers 200.
+
+        Raises :class:`~repro.core.errors.StoreError` at once when a
+        worker exits :data:`RECOVERY_REFUSED` instead."""
         deadline = time.monotonic() + timeout
         for shard in self.shards:
-            while True:
-                if self._probe(shard):
-                    break
+            while not self._probe(shard):
+                code = self._processes[shard].exitcode
+                if code == RECOVERY_REFUSED:
+                    raise StoreError(
+                        f"worker {shard} exited with code {code} before "
+                        f"it was ready: its WAL was refused at recovery"
+                    )
                 if time.monotonic() > deadline:
                     raise TimeoutError(
                         f"worker {shard} not ready within {timeout}s"

@@ -7,9 +7,10 @@ webcam/screen picture on a schedule while a sitting runs.
 This reproduction substitutes synthetic frames for real pictures (there
 is no camera in a library), preserving the code path end to end: a
 capture *schedule* driven by the session clock, per-sitting frame
-storage with bounded retention, and a review API for proctors.  Frames
-are deterministic byte payloads derived from (learner, exam, sequence
-number), so tests can verify integrity.
+storage with bounded retention, and a review API for proctors.  A
+frame's picture is a deterministic byte payload derived from (learner,
+exam, sequence number), so tests can verify integrity, and a frame
+keeps only what determines it.
 """
 
 from __future__ import annotations
@@ -28,13 +29,19 @@ __all__ = ["CapturedFrame", "ExamMonitor"]
 
 @dataclass(frozen=True)
 class CapturedFrame:
-    """One captured picture: identity, capture time, and payload."""
+    """One captured picture: identity and capture time."""
 
     learner_id: str
     exam_id: str
     sequence: int
     elapsed_seconds: float
-    payload: bytes
+
+    @property
+    def payload(self) -> bytes:
+        """The picture, derived from the frame's identity."""
+        return _synthetic_picture(
+            self.learner_id, self.exam_id, self.sequence
+        )
 
     def checksum(self) -> str:
         """SHA-256 of the frame payload, for integrity checks."""
@@ -122,7 +129,6 @@ class ExamMonitor:
                 exam_id=exam_id,
                 sequence=sequence,
                 elapsed_seconds=elapsed_seconds,
-                payload=_synthetic_picture(learner_id, exam_id, sequence),
             )
             frames.append(frame)
             self._captured_total += 1
@@ -252,7 +258,6 @@ class ExamMonitor:
                     exam_id=record["exam_id"],
                     sequence=int(record["sequence"]),
                     elapsed_seconds=float(record["elapsed_seconds"]),
-                    payload=base64.b64decode(record["payload_b64"]),
                 )
             )
         for frames in monitor._frames.values():

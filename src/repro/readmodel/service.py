@@ -140,13 +140,6 @@ class ReadModelService:
 
     # -- introspection -------------------------------------------------------
 
-    def lag(self) -> Optional[int]:
-        """Records the journal holds that the model has not folded yet."""
-        if self.journal is None:
-            return None
-        with self.lock:
-            return max(self.journal.last_lsn - self.model.applied_lsn, 0)
-
     def info(self) -> Dict[str, object]:
         """The /metrics payload: position, lag, and follower counters."""
         with self.lock:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro import _lazy_exports
 from repro.server.app import ExamServer
 from repro.server.errors import ApiError, api_error_from_exception
-from repro.server.handlers import ServerContext, build_router
+from repro.server.handlers import build_router
 from repro.server.router import Route, RouteMatch, Router
 from repro.server.serialize import analysis_to_dict
 
@@ -33,7 +33,6 @@ __all__ = [
     "ExamServer",
     "ApiError",
     "api_error_from_exception",
-    "ServerContext",
     "build_router",
     "LoadgenReport",
     "run_loadgen",

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Tuple
@@ -50,7 +51,7 @@ from typing import Optional, Tuple
 from repro import obs
 from repro.lms.lms import Lms
 from repro.server.errors import ApiError, api_error_from_exception
-from repro.server.handlers import ServerContext, build_router
+from repro.server.handlers import build_router
 from repro.server.serialize import parse_json_body
 
 __all__ = ["ExamServer"]
@@ -192,7 +193,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def _dispatch(self, method: str) -> None:
         app = self.app
-        registry = app.context.registry
+        registry = app.registry
         # one handler instance serves every request of a keep-alive
         # connection: the drain bookkeeping is per-request state
         self._body_consumed = False
@@ -238,9 +239,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                     registry.count("server.requests", route=route_name)
                     self._send_json(status, payload, retry_after)
                     return
-            result = match.route.handler(
-                self.app.context, match.params, body, query
-            )
+            result = match.route.handler(self.app, match.params, body, query)
             status, payload = _normalize_result(result)
             registry.count("server.requests", route=route_name)
             self._send_json(status, payload)
@@ -318,7 +317,7 @@ class ExamServer:
     ) -> None:
         # the server counts even when global profiling is off:
         # /metrics must always have data
-        registry = obs.Registry(enabled=True)
+        self.registry = obs.Registry(enabled=True)
         self.wal_dir = Path(wal_dir) if wal_dir is not None else None
         self.journal = None
         self.checkpointer = None
@@ -334,7 +333,7 @@ class ExamServer:
                 lms = self.recovery_report.lms
             # Journal.open also repairs the torn tail recover() tolerated
             self.journal = Journal.open(
-                self.wal_dir, fsync=fsync, registry=registry
+                self.wal_dir, fsync=fsync, registry=self.registry
             )
             lms.attach_journal(self.journal)
             self.checkpointer = Checkpointer(lms, self.journal)
@@ -354,16 +353,15 @@ class ExamServer:
         self.router = build_router()
         self.in_flight = _InFlightBudget(max_in_flight)
         self.max_body_bytes = max_body_bytes
+        #: hard cap on answers per ``answers:batch`` request (413 above)
+        self.max_batch_answers = max_batch_answers
+        #: when the server came up (after recovery), for ``uptime_seconds``
+        self.started_at = time.time()
         #: the worker's :class:`~repro.cluster.context.ClusterContext`
-        #: in a sharded deployment; None for the classic single process
+        #: in a sharded deployment; None for the classic single process.
+        #: Fleet routes (see :func:`~repro.server.handlers.build_router`)
+        #: span every shard when this is set.
         self.cluster = cluster
-        self.context = ServerContext(
-            lms=self.lms,
-            registry=registry,
-            max_batch_answers=max_batch_answers,
-            cluster=cluster,
-        )
-        self.context.in_flight = self.in_flight.current
         #: where ``mine-assess calibrate`` drops parameter snapshots for
         #: this store (scanned at boot and on demand, see
         #: :meth:`reload_calibration`)
@@ -371,14 +369,8 @@ class ExamServer:
             self.wal_dir / "calibration" if self.wal_dir is not None else None
         )
         if self.calibration_dir is not None:
-            self.context.calibration = self.reload_calibration
             self.reload_calibration()
         self.checkpoint_interval_seconds = checkpoint_interval_seconds
-        if self.checkpointer is not None:
-            self.context.checkpoint = self.checkpoint_now
-            self.context.store_info = self.store_info
-        if self.readmodel is not None:
-            self.context.readmodel = self.readmodel
         self._httpd = _Http((host, port), self, reuse_port=reuse_port)
         self._extra_httpds: list = []
         self._extra_threads: list = []
@@ -519,7 +511,7 @@ class ExamServer:
             # persist the fold at (at least) the covered LSN, so a
             # restarted follower resumes above the retired history
             self.readmodel.checkpoint()
-        self.context.registry.count("server.checkpoints")
+        self.registry.count("server.checkpoints")
         return result
 
     def reload_calibration(self) -> dict:
@@ -561,7 +553,7 @@ class ExamServer:
                 )
                 continue
             applied.append({"exam_id": exam_id, "version": version})
-        self.context.registry.count("server.calibration_reloads")
+        self.registry.count("server.calibration_reloads")
         return {
             "calibration_dir": str(self.calibration_dir),
             "applied": applied,
@@ -608,7 +600,7 @@ class ExamServer:
                     ):
                         self.checkpoint_now()
                 except Exception:  # noqa: BLE001 - keep the beat going
-                    self.context.registry.count("server.checkpoint_errors")
+                    self.registry.count("server.checkpoint_errors")
 
         self._checkpoint_thread = threading.Thread(
             target=loop, name="mine-assess-checkpoints", daemon=True

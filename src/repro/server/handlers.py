@@ -1,10 +1,11 @@
 """Route handlers: the REST surface over an :class:`~repro.lms.lms.Lms`.
 
-Each handler is a plain function ``(ctx, params, body, query) ->
-payload | (status, payload)`` — no HTTP types leak in; the app layer
-owns sockets, headers, and error rendering.  The full route table lives
-in :func:`build_router`; ``docs/server.md`` documents every endpoint
-with its JSON schema.
+Each handler is a plain function ``(server, params, body, query) ->
+payload | (status, payload)``, where ``server`` is the
+:class:`~repro.server.app.ExamServer` answering the request — no HTTP
+types leak in; the app layer owns sockets, headers, and error
+rendering.  The full route table lives in :func:`build_router`;
+``docs/server.md`` documents every endpoint with its JSON schema.
 
 Handlers never lock explicitly: the :class:`Lms` itself is
 concurrency-safe (every public method takes ``lms.lock``), so a handler
@@ -16,16 +17,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Optional
 from urllib.parse import parse_qs
 
-from repro import obs
 from repro.bank.exambank import exam_from_record, exam_to_record
 from repro.core.errors import DuplicateIdError
 from repro.core.export import report_to_dict
 from repro.lms.learners import Learner
-from repro.lms.lms import Lms
 from repro.server.errors import ApiError
 from repro.server.router import Router
 from repro.server.serialize import (
@@ -36,72 +33,35 @@ from repro.server.serialize import (
     scored_to_dict,
 )
 
-__all__ = ["ServerContext", "build_router"]
-
-
-@dataclass
-class ServerContext:
-    """What every handler can reach: the LMS and the server's registry."""
-
-    lms: Lms
-    registry: "obs.Registry" = field(default_factory=lambda: obs.Registry())
-    started_at: float = field(default_factory=time.time)
-    #: filled by the app layer so /metrics can report live saturation
-    in_flight: Optional[object] = None
-    #: filled by the app layer when a WAL is configured: a zero-arg
-    #: callable running one checkpoint pass (POST /admin/checkpoint)
-    checkpoint: Optional[object] = None
-    #: filled by the app layer when a WAL is configured: a zero-arg
-    #: callable returning journal/checkpoint stats for /metrics
-    store_info: Optional[object] = None
-    #: hard cap on answers per ``answers:batch`` request (413 above it)
-    max_batch_answers: int = 500
-    #: the worker's :class:`~repro.cluster.context.ClusterContext` in a
-    #: sharded deployment; None means the classic single process.
-    #: Fleet routes (see :func:`build_router`) span every shard when
-    #: this is set.
-    cluster: Optional[object] = None
-    #: the :class:`~repro.readmodel.service.ReadModelService` behind the
-    #: ``/admin/analytics`` surface; None when ``--readmodel`` is off
-    readmodel: Optional[object] = None
-    #: filled by the app layer when a WAL is configured: a zero-arg
-    #: callable scanning the calibration snapshot directory and
-    #: hot-swapping any newer parameter sets (POST /admin/calibration/
-    #: reload); None without durable state
-    calibration: Optional[object] = None
-
-    def uptime_seconds(self) -> float:
-        """Seconds since the context (≈ server) came up."""
-        return time.time() - self.started_at
+__all__ = ["build_router"]
 
 
 # -- meta ---------------------------------------------------------------------
 
 
-def _healthz(ctx: ServerContext, params, body, query):
+def _healthz(server, params, body, query):
     return {
         "status": "ok",
-        "uptime_seconds": round(ctx.uptime_seconds(), 3),
-        "exams_offered": len(ctx.lms.offered_exams()),
+        "uptime_seconds": round(time.time() - server.started_at, 3),
+        "exams_offered": len(server.lms.offered_exams()),
     }
 
 
-def _metrics(ctx: ServerContext, params, body, query):
+def _metrics(server, params, body, query):
     payload = {
-        "uptime_seconds": round(ctx.uptime_seconds(), 3),
-        "counters": ctx.registry.counters(),
-        "gauges": ctx.registry.gauges(),
-        "monitor": ctx.lms.monitor.metrics(),
-        "locks": ctx.lms.lock_stats.snapshot(),
+        "uptime_seconds": round(time.time() - server.started_at, 3),
+        "counters": server.registry.counters(),
+        "gauges": server.registry.gauges(),
+        "monitor": server.lms.monitor.metrics(),
+        "locks": server.lms.lock_stats.snapshot(),
+        "in_flight": server.in_flight.current(),
     }
-    if ctx.in_flight is not None:
-        payload["in_flight"] = ctx.in_flight()
-    if ctx.store_info is not None:
-        payload["store"] = ctx.store_info()
-    if ctx.readmodel is not None:
-        payload["readmodel"] = ctx.readmodel.info()
-    if ctx.cluster is not None:
-        payload["cluster"] = ctx.cluster.describe()
+    if server.checkpointer is not None:
+        payload["store"] = server.store_info()
+    if server.readmodel is not None:
+        payload["readmodel"] = server.readmodel.info()
+    if server.cluster is not None:
+        payload["cluster"] = server.cluster.describe()
     return payload
 
 
@@ -119,23 +79,23 @@ _OFFER_SPEC = BodySpec(
 )
 
 
-def _offer_exam(ctx: ServerContext, params, body, query):
+def _offer_exam(server, params, body, query):
     exam = exam_from_record(_OFFER_SPEC.validate(body))
-    ctx.lms.offer_exam(exam)
+    server.lms.offer_exam(exam)
     return 201, {"exam_id": exam.exam_id, "items": len(exam.items)}
 
 
-def _offered_record(ctx: ServerContext, body):
+def _offered_record(server, body):
     """The record this shard holds under the id an offer asked for."""
-    return exam_to_record(ctx.lms.exam(body["exam_id"]))
+    return exam_to_record(server.lms.exam(body["exam_id"]))
 
 
-def _list_exams(ctx: ServerContext, params, body, query):
-    return {"exams": ctx.lms.offered_exams()}
+def _list_exams(server, params, body, query):
+    return {"exams": server.lms.offered_exams()}
 
 
-def _get_exam(ctx: ServerContext, params, body, query):
-    return exam_to_record(ctx.lms.exam(params["exam_id"]))
+def _get_exam(server, params, body, query):
+    return exam_to_record(server.lms.exam(params["exam_id"]))
 
 
 # -- learners & enrollment ----------------------------------------------------
@@ -146,40 +106,40 @@ _REGISTER_SPEC = BodySpec(
 )
 
 
-def _register_learner(ctx: ServerContext, params, body, query):
+def _register_learner(server, params, body, query):
     body = _REGISTER_SPEC.validate(body)
     learner = Learner(
         learner_id=body["learner_id"],
         name=str(body.get("name", "")),
         email=str(body.get("email", "")),
     )
-    ctx.lms.register_learner(learner)
+    server.lms.register_learner(learner)
     return 201, {"learner_id": learner.learner_id}
 
 
-def _get_learner(ctx: ServerContext, params, body, query):
-    return learner_to_dict(ctx.lms.learners.get(params["learner_id"]))
+def _get_learner(server, params, body, query):
+    return learner_to_dict(server.lms.learners.get(params["learner_id"]))
 
 
 _ENROLL_SPEC = BodySpec(required={"learner_id": str})
 
 
-def _enroll(ctx: ServerContext, params, body, query):
+def _enroll(server, params, body, query):
     body = _ENROLL_SPEC.validate(body)
-    ctx.lms.enroll(body["learner_id"], params["exam_id"])
+    server.lms.enroll(body["learner_id"], params["exam_id"])
     return 201, {
         "learner_id": body["learner_id"],
         "exam_id": params["exam_id"],
     }
 
 
-def _roster(ctx: ServerContext, params, body, query):
+def _roster(server, params, body, query):
     exam_id = params["exam_id"]
-    ctx.lms.exam(exam_id)  # 404 for unknown exams, not an empty roster
-    return {"exam_id": exam_id, "enrolled": ctx.lms.enrolled(exam_id)}
+    server.lms.exam(exam_id)  # 404 for unknown exams, not an empty roster
+    return {"exam_id": exam_id, "enrolled": server.lms.enrolled(exam_id)}
 
 
-def _merge_rosters(ctx: ServerContext, params, rosters):
+def _merge_rosters(server, params, rosters):
     # each shard only knows its own learners: union the fleet
     enrolled = set().union(*(roster["enrolled"] for roster in rosters))
     return {"exam_id": params["exam_id"], "enrolled": sorted(enrolled)}
@@ -188,8 +148,8 @@ def _merge_rosters(ctx: ServerContext, params, rosters):
 # -- sitting lifecycle --------------------------------------------------------
 
 
-def _start(ctx: ServerContext, params, body, query):
-    sitting = ctx.lms.start_exam(params["learner_id"], params["exam_id"])
+def _start(server, params, body, query):
+    sitting = server.lms.start_exam(params["learner_id"], params["exam_id"])
     return 201, {
         "learner_id": sitting.learner_id,
         "exam_id": sitting.exam_id,
@@ -202,9 +162,9 @@ def _start(ctx: ServerContext, params, body, query):
 _ANSWER_SPEC = BodySpec(required={"item_id": str, "response": object})
 
 
-def _answer(ctx: ServerContext, params, body, query):
+def _answer(server, params, body, query):
     body = _ANSWER_SPEC.validate(body)
-    scored = ctx.lms.answer(
+    scored = server.lms.answer(
         params["learner_id"],
         params["exam_id"],
         body["item_id"],
@@ -220,7 +180,7 @@ _BATCH_SPEC = BodySpec(
 )
 
 
-def _answers_batch(ctx: ServerContext, params, body, query):
+def _answers_batch(server, params, body, query):
     """K answers in one request — and optionally the submit too.
 
     All-or-nothing: the first invalid answer rejects the whole batch
@@ -231,14 +191,14 @@ def _answers_batch(ctx: ServerContext, params, body, query):
     """
     body = _BATCH_SPEC.validate(body)
     answers = body["answers"]
-    if len(answers) > ctx.max_batch_answers:
+    if len(answers) > server.max_batch_answers:
         raise ApiError(
             413,
             "payload_too_large",
             f"batch of {len(answers)} answers exceeds the per-request "
-            f"limit of {ctx.max_batch_answers}",
+            f"limit of {server.max_batch_answers}",
         )
-    scored, graded = ctx.lms.answer_batch(
+    scored, graded = server.lms.answer_batch(
         params["learner_id"],
         params["exam_id"],
         [(entry["item_id"], entry["response"]) for entry in answers],
@@ -257,8 +217,8 @@ def _answers_batch(ctx: ServerContext, params, body, query):
     return payload
 
 
-def _sitting_status(ctx: ServerContext, params, body, query):
-    sitting = ctx.lms.sitting(params["learner_id"], params["exam_id"])
+def _sitting_status(server, params, body, query):
+    sitting = server.lms.sitting(params["learner_id"], params["exam_id"])
     session = sitting.session
     return {
         "learner_id": sitting.learner_id,
@@ -270,49 +230,50 @@ def _sitting_status(ctx: ServerContext, params, body, query):
     }
 
 
-def _next_item(ctx: ServerContext, params, body, query):
+def _next_item(server, params, body, query):
     """The adaptive policy's choice for this sitting.
 
     Pure table lookup on the hot path (no IRT evaluation); 409s for
     exams without an adaptive policy.  ``done: true`` with a ``reason``
     means the stopping rules fired — the client should submit.
     """
-    payload = ctx.lms.next_item(params["learner_id"], params["exam_id"])
+    payload = server.lms.next_item(params["learner_id"], params["exam_id"])
     payload["learner_id"] = params["learner_id"]
     payload["exam_id"] = params["exam_id"]
     return payload
 
 
-def _suspend(ctx: ServerContext, params, body, query):
-    ctx.lms.suspend(params["learner_id"], params["exam_id"])
+def _suspend(server, params, body, query):
+    server.lms.suspend(params["learner_id"], params["exam_id"])
     return {"state": "suspended"}
 
 
-def _resume(ctx: ServerContext, params, body, query):
-    ctx.lms.resume(params["learner_id"], params["exam_id"])
+def _resume(server, params, body, query):
+    server.lms.resume(params["learner_id"], params["exam_id"])
     return {"state": "in_progress"}
 
 
-def _submit(ctx: ServerContext, params, body, query):
-    graded = ctx.lms.submit(params["learner_id"], params["exam_id"])
+def _submit(server, params, body, query):
+    graded = server.lms.submit(params["learner_id"], params["exam_id"])
     return graded_to_dict(graded)
 
 
 # -- results & analysis -------------------------------------------------------
 
 
-def _results(ctx: ServerContext, params, body, query):
+def _results(server, params, body, query):
     exam_id = params["exam_id"]
-    ctx.lms.exam(exam_id)
+    server.lms.exam(exam_id)
     return {
         "exam_id": exam_id,
         "results": [
-            graded_to_dict(graded) for graded in ctx.lms.results_for(exam_id)
+            graded_to_dict(graded)
+            for graded in server.lms.results_for(exam_id)
         ],
     }
 
 
-def _merge_results(ctx: ServerContext, params, shards):
+def _merge_results(server, params, shards):
     # per-shard lists are in local submission order; the merged view
     # is put in canonical (learner id) order so it is a pure function
     # of who submitted, not of shard layout
@@ -321,16 +282,16 @@ def _merge_results(ctx: ServerContext, params, shards):
     return {"exam_id": params["exam_id"], "results": results}
 
 
-def _analysis(ctx: ServerContext, params, body, query):
-    return analysis_to_dict(ctx.lms.live_analysis(params["exam_id"]))
+def _analysis(server, params, body, query):
+    return analysis_to_dict(server.lms.live_analysis(params["exam_id"]))
 
 
-def _analysis_partial(ctx: ServerContext, params, body, query):
+def _analysis_partial(server, params, body, query):
     """This shard's columnar partial of the exam's cohort."""
-    return ctx.lms.analysis_partial(params["exam_id"])
+    return server.lms.analysis_partial(params["exam_id"])
 
 
-def _merge_analysis(ctx: ServerContext, params, partials):
+def _merge_analysis(server, params, partials):
     """Merge every shard's cohort partial: the merge (canonical learner
     order) analyzes bit-identically to a single process that held the
     whole cohort.  When the query time-travels, each read-model partial
@@ -338,37 +299,37 @@ def _merge_analysis(ctx: ServerContext, params, partials):
     the answer."""
     from repro.core.columnar import merge_partials
 
-    specs = ctx.lms.exam(params["exam_id"]).question_specs()
+    specs = server.lms.exam(params["exam_id"]).question_specs()
     payload = analysis_to_dict(merge_partials(specs, partials).analyze())
     return _with_as_of(payload, partials[0].get("as_of"))
 
 
-def _report(ctx: ServerContext, params, body, query):
-    if ctx.cluster is not None:
+def _report(server, params, body, query):
+    if server.cluster is not None:
         raise ApiError(
             501,
             "not_implemented",
             "the full report is not yet available in sharded mode; "
             "use /exams/{exam_id}/analysis (scatter-gathered) instead",
         )
-    return report_to_dict(ctx.lms.report_for(params["exam_id"]))
+    return report_to_dict(server.lms.report_for(params["exam_id"]))
 
 
-def _monitor_metrics(ctx: ServerContext, params, body, query):
-    return ctx.lms.monitor.metrics()
+def _monitor_metrics(server, params, body, query):
+    return server.lms.monitor.metrics()
 
 
 # -- admin --------------------------------------------------------------------
 
 
-def _checkpoint_now(ctx: ServerContext, params, body, query):
-    if ctx.checkpoint is None:
+def _checkpoint_now(server, params, body, query):
+    if server.checkpointer is None:
         raise ApiError(
             409,
             "invalid_state",
             "server was started without a WAL directory (--wal-dir)",
         )
-    result = ctx.checkpoint()
+    result = server.checkpoint_now()
     return {
         "checkpoint": str(result.path),
         "covered_lsn": result.covered_lsn,
@@ -386,31 +347,31 @@ def _count_peers(payload, peers):
     return {**payload, "peers_checkpointed": peers}
 
 
-def _calibration_reload(ctx: ServerContext, params, body, query):
+def _calibration_reload(server, params, body, query):
     """Re-scan the calibration snapshot directory and hot-swap any exam
     whose newest persisted parameter set is newer than the installed one
     (the on-demand flavor of the boot-time pickup)."""
-    if ctx.calibration is None:
+    if server.calibration_dir is None:
         raise ApiError(
             409,
             "invalid_state",
             "server was started without a WAL directory (--wal-dir), "
             "so there is no calibration snapshot directory to reload",
         )
-    return ctx.calibration()
+    return server.reload_calibration()
 
 
 # -- analytics (the read-model tier) ------------------------------------------
 
 
-def _require_readmodel(ctx: ServerContext):
-    if ctx.readmodel is None:
+def _require_readmodel(server):
+    if server.readmodel is None:
         raise ApiError(
             409,
             "invalid_state",
             "read models are not enabled (serve --readmodel)",
         )
-    return ctx.readmodel
+    return server.readmodel
 
 
 def _as_of_target(query: str):
@@ -451,18 +412,18 @@ def _with_as_of(payload, as_of_info):
     return {"as_of": as_of_info, "analysis": payload}
 
 
-def _analytics_overview(ctx: ServerContext, params, body, query):
+def _analytics_overview(server, params, body, query):
     """One process's fold state (a shard's part of the fleet's)."""
-    service = _require_readmodel(ctx)
+    service = _require_readmodel(server)
     service.sync()
     with service.lock:
         payload = service.model.overview()
     payload["follower"] = service.info()
-    payload["shard"] = ctx.cluster.shard if ctx.cluster is not None else ""
+    payload["shard"] = server.cluster.shard if server.cluster else ""
     return payload
 
 
-def _merge_overviews(ctx: ServerContext, params, shards):
+def _merge_overviews(server, params, shards):
     shards = sorted(shards, key=lambda entry: entry["shard"])
     merged = {
         "applied_events": sum(s["applied_events"] for s in shards),
@@ -496,21 +457,21 @@ def _merge_overviews(ctx: ServerContext, params, shards):
     return merged
 
 
-def _analytics_summary(ctx: ServerContext, params, body, query):
+def _analytics_summary(server, params, body, query):
     """One process's exam aggregates."""
-    service = _require_readmodel(ctx)
+    service = _require_readmodel(server)
     service.sync()
     with service.lock:
         return service.model.exam(params["exam_id"]).summary()
 
 
-def _merge_summaries(ctx: ServerContext, params, summaries):
+def _merge_summaries(server, params, summaries):
     from repro.readmodel.model import merge_summaries
 
     return merge_summaries(summaries)
 
 
-def _analytics_analysis(ctx: ServerContext, params, body, query):
+def _analytics_analysis(server, params, body, query):
     """The read-model cohort analysis, bit-identical to the live
     ``/exams/{exam_id}/analysis`` over the same journaled history.
 
@@ -520,17 +481,17 @@ def _analytics_analysis(ctx: ServerContext, params, body, query):
     coordinates, so a sharded deployment only accepts ``as_of_ts``
     (one wall clock spans the fleet; see :func:`_analytics_partial`).
     """
-    service = _require_readmodel(ctx)
+    service = _require_readmodel(server)
     model, as_of_info = _readmodel_at(service, *_as_of_target(query))
     with service.lock:
         payload = analysis_to_dict(model.exam(params["exam_id"]).analysis())
     return _with_as_of(payload, as_of_info)
 
 
-def _analytics_partial(ctx: ServerContext, params, body, query):
+def _analytics_partial(server, params, body, query):
     """One shard's read-model partial, with its ``as_of`` coordinates
     when the query time-travels (the sharded analysis merges these)."""
-    service = _require_readmodel(ctx)
+    service = _require_readmodel(server)
     lsn, ts = _as_of_target(query)
     if lsn is not None:
         raise ApiError(
@@ -551,18 +512,18 @@ def _blueprint(summary):
     return {"exam_id": summary["exam_id"], "blueprint": summary["blueprint"]}
 
 
-def _analytics_blueprint(ctx: ServerContext, params, body, query):
-    return _blueprint(_analytics_summary(ctx, params, body, query))
+def _analytics_blueprint(server, params, body, query):
+    return _blueprint(_analytics_summary(server, params, body, query))
 
 
-def _merge_blueprints(ctx: ServerContext, params, summaries):
-    return _blueprint(_merge_summaries(ctx, params, summaries))
+def _merge_blueprints(server, params, summaries):
+    return _blueprint(_merge_summaries(server, params, summaries))
 
 
-def _analytics_spec_table(ctx: ServerContext, params, body, query):
+def _analytics_spec_table(server, params, body, query):
     """The static concept × level aggregate (replicated catalog: any
     shard's copy is the fleet's)."""
-    service = _require_readmodel(ctx)
+    service = _require_readmodel(server)
     service.sync()
     with service.lock:
         payload = service.model.exam(params["exam_id"]).spec_table()
@@ -573,19 +534,18 @@ def _analytics_spec_table(ctx: ServerContext, params, body, query):
 # -- cluster ------------------------------------------------------------------
 
 
-def _shard_lsns(ctx: ServerContext, params, body, query):
+def _shard_lsns(server, params, body, query):
     """One shard's WAL coordinates for the topology payload."""
-    payload = {"shard": ctx.cluster.shard if ctx.cluster is not None else ""}
-    if ctx.store_info is not None:
-        info = ctx.store_info()
-        payload["last_lsn"] = info.get("last_lsn")
-        payload["durable_lsn"] = info.get("durable_lsn")
-    if ctx.readmodel is not None:
-        payload["readmodel_lsn"] = ctx.readmodel.info()["applied_lsn"]
+    payload = {"shard": server.cluster.shard if server.cluster else ""}
+    if server.journal is not None:
+        payload["last_lsn"] = server.journal.last_lsn
+        payload["durable_lsn"] = server.journal.durable_lsn
+    if server.readmodel is not None:
+        payload["readmodel_lsn"] = server.readmodel.info()["applied_lsn"]
     return payload
 
 
-def _not_clustered(ctx: ServerContext, params, body, query):
+def _not_clustered(server, params, body, query):
     raise ApiError(
         409,
         "invalid_state",
@@ -593,8 +553,8 @@ def _not_clustered(ctx: ServerContext, params, body, query):
     )
 
 
-def _merge_topology(ctx: ServerContext, params, shards):
-    payload = ctx.cluster.describe()
+def _merge_topology(server, params, shards):
+    payload = server.cluster.describe()
     lsns = {shard["shard"]: shard for shard in shards}
     for entry in payload["shards"]:
         entry.update(lsns[entry["shard"]])
@@ -615,22 +575,22 @@ def build_router() -> Router:
 
     def fleet(template, name, local, merge, single=None):
         """A cohort read.  One process answers with ``single`` (default
-        ``local``).  A shard of a cluster answers with ``merge(ctx,
+        ``local``).  A shard of a cluster answers with ``merge(server,
         params, payloads)`` over its own ``local`` payload followed by
         every peer's, gathered from the peer leg with the request's
         query string."""
         internal = "/internal" + template
         alone = single or local
 
-        def handler(ctx, params, body, query):
-            if ctx.cluster is None:
-                return alone(ctx, params, body, query)
-            payloads = [local(ctx, params, body, query)]
+        def handler(server, params, body, query):
+            if server.cluster is None:
+                return alone(server, params, body, query)
+            payloads = [local(server, params, body, query)]
             path = internal.format_map(params)
-            payloads += ctx.cluster.gather(
+            payloads += server.cluster.gather(
                 f"{path}?{query}" if query else path
             )
-            return merge(ctx, params, payloads)
+            return merge(server, params, payloads)
 
         router.add("GET", template, handler, name)
         router.add("GET", internal, local, "internal." + name)
@@ -638,19 +598,19 @@ def build_router() -> Router:
     def replicated(template, name, apply, merge=None, held=None):
         """A catalog or admin write: ``apply`` it here, then broadcast
         it to every peer's leg.  ``merge(result, peers)`` may fold the
-        peer count into a cluster's answer.  ``held(ctx, body)`` gives
+        peer count into a cluster's answer.  ``held(server, body)`` gives
         the record this shard holds when ``apply`` finds the id taken
         (default ``body``): an earlier try applied it here, and its
         broadcast may have failed partway."""
         internal = "/internal" + template
 
-        def handler(ctx, params, body, query):
-            if ctx.cluster is None:
-                return apply(ctx, params, body, query)
+        def handler(server, params, body, query):
+            if server.cluster is None:
+                return apply(server, params, body, query)
             path = internal.format_map(params)
             raw = json.dumps(body).encode("utf-8")
             try:
-                result = apply(ctx, params, body, query)
+                result = apply(server, params, body, query)
             except DuplicateIdError:
                 # applied here by an earlier try whose broadcast failed
                 # partway: reach the peers it missed with what it
@@ -658,10 +618,10 @@ def build_router() -> Router:
                 # counts as applied), then answer 409 as one process
                 # would
                 if held is not None:
-                    raw = json.dumps(held(ctx, body)).encode("utf-8")
-                ctx.cluster.broadcast("POST", path, raw)
+                    raw = json.dumps(held(server, body)).encode("utf-8")
+                server.cluster.broadcast("POST", path, raw)
                 raise
-            peers = ctx.cluster.broadcast("POST", path, raw)
+            peers = server.cluster.broadcast("POST", path, raw)
             return result if merge is None else merge(result, peers)
 
         router.add("POST", template, handler, name)

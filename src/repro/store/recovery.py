@@ -42,22 +42,24 @@ class ReplayClock:
     """A clock scripted by the replayer, then released to real time.
 
     During replay, :meth:`pin` fixes ``now()`` to the journaled
-    timestamp of the event being applied (never moving backwards, so
-    untimed catalog events cannot rewind it).  After the last record,
+    timestamp of the event being applied.  That can move it backwards:
+    concurrent sittings read the clock and journal in separate steps,
+    so a record can follow one stamped later.  After the last record,
     :meth:`go_live` anchors the clock to keep ticking from the replayed
     timeline's high-water mark — the recovered LMS continues serving on
     the same timeline the crashed process was using.
     """
 
     def __init__(self, origin: float = 0.0) -> None:
-        self._now = float(origin)
+        self._now = self._high = float(origin)
         self._base: Optional[float] = None  # set by go_live()
 
     def pin(self, timestamp: float) -> None:
-        """Script ``now()`` for the next event (monotonic: max wins)."""
+        """Script ``now()`` for the next event."""
         if self._base is not None:
             raise RuntimeError("cannot pin a ReplayClock after go_live()")
-        self._now = max(self._now, float(timestamp))
+        self._now = float(timestamp)
+        self._high = max(self._high, self._now)
 
     def now(self) -> float:
         """The pinned timestamp, or live re-anchored time after go_live."""
@@ -68,7 +70,7 @@ class ReplayClock:
     def go_live(self) -> None:
         """Switch from scripted to real time, continuing the timeline."""
         if self._base is None:
-            self._base = self._now - time.monotonic()
+            self._base = self._high - time.monotonic()
 
 
 @dataclass
@@ -173,7 +175,8 @@ def recover(wal_dir: "str | Path") -> RecoveryReport:
             if record.lsn <= checkpoint_lsn:
                 report.records_skipped += 1
                 continue
-            clock.pin(store_events.event_timestamp(record.type, record.data))
+            if "ts" in record.data:  # catalog events carry no time
+                clock.pin(record.data["ts"])
             store_events.apply_event(lms, record.type, record.data)
             report.records_replayed += 1
             if record.type == "answers":

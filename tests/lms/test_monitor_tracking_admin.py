@@ -1,5 +1,8 @@
 """Tests for the exam monitor, tracking service, and administrator role."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.errors import MonitorError, NotFoundError
@@ -81,6 +84,23 @@ class TestMonitorCapture:
     def test_bad_retention_rejected(self):
         with pytest.raises(MonitorError):
             ExamMonitor(max_frames=0)
+
+    def test_a_sitting_with_one_frame_retains_at_most_600_bytes(self):
+        """A frame keeps what determines its picture (learner, exam,
+        sequence), not the 1 KiB picture."""
+        learner_ids = [f"learner-{index:04d}" for index in range(500)]
+        monitor = ExamMonitor()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for learner_id in learner_ids:
+                monitor.capture(learner_id, "ex1", 0.0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained / len(learner_ids) <= 600
 
 
 class TestTrackingService:

@@ -111,7 +111,7 @@ class TestMeta:
         assert payload["in_flight"] >= 1  # this very request
         assert "frames_captured" in payload["monitor"]
         # the server's own registry counts per route
-        assert server.context.registry.counter(
+        assert server.registry.counter(
             "server.requests", route="healthz"
         ) == 2
 
@@ -121,7 +121,7 @@ class TestMeta:
         for index in range(499):
             status, _, _ = client.get("/healthz" if index % 2 else "/exams")
             assert status == 200
-        assert server.context.registry.roots == []
+        assert server.registry.roots == []
         status, last, _ = client.get("/metrics")
         assert status == 200
         assert set(last) == set(first) == {
@@ -409,7 +409,7 @@ class TestBadRequests:
             "code": "internal_error",
             "message": "internal server error",
         }
-        assert server.context.registry.counter(
+        assert server.registry.counter(
             "server.internal_errors", type="ZeroDivisionError"
         ) == 1
 
@@ -425,7 +425,7 @@ class TestBackpressure:
                     assert status == 503
                     assert payload["error"]["code"] == "overloaded"
                     assert headers["Retry-After"] == "1"
-                    assert server.context.registry.counter(
+                    assert server.registry.counter(
                         "server.rejected"
                     ) == 1
                 finally:

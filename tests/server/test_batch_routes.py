@@ -199,7 +199,7 @@ class TestBatchLimits:
                         base + "/answers:batch", body=batch_body()
                     )
                     assert status == 503
-                    assert server.context.registry.counter(
+                    assert server.registry.counter(
                         "server.rejected"
                     ) == 1
                 finally:

@@ -271,6 +271,40 @@ class TestServe:
         )
         assert segment.read_bytes() == bytes(raw)
 
+    def test_a_shard_that_recovery_refuses_exits_2(self, tmp_path):
+        """serve --workers: the refused shard's worker reports once and
+        is not restarted, and serve stops the others and exits 2."""
+        import shutil
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = tmp_path / "wal"
+        shutil.copytree(
+            Path(__file__).parent / "store" / "golden_v2" / "wal",
+            root / "shard-0",
+        )
+        (root / "shard-1").mkdir()
+        (segment,) = sorted((root / "shard-0").glob("wal-*.walb"))
+        raw = bytearray(segment.read_bytes())
+        raw[0] ^= 0xFF
+        segment.write_bytes(bytes(raw))
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--workers",
+                "2", "--port", "0", "--wal-dir", str(root),
+            ],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert result.returncode == 2, result.stderr
+        refused = [
+            line for line in result.stderr.splitlines()
+            if "recovery failed:" in line
+        ]
+        assert len(refused) == 1 and "magic" in refused[0], result.stderr
+        assert "shard-0 exited with code 2" in result.stderr
+        assert segment.read_bytes() == bytes(raw)
+
     def test_a_port_in_use_is_not_reported_as_recovery(self, tmp_path):
         import socket
 
