@@ -44,7 +44,7 @@ from pathlib import Path
 from repro.server.app import ExamServer
 from repro.server.loadgen import run_loadgen
 from repro.store import Journal, read_records, recover, segment_files
-from repro.store.events import answer_event
+from repro.store.events import event
 from repro.store.format import segment_header
 from repro.store.journal import _encode_record
 
@@ -70,12 +70,9 @@ LOADGEN_WORKERS = 4
 
 
 def sample_event(index):
-    return answer_event(
-        learner_id=f"s{index % 50}",
-        exam_id="bench",
-        item_id=f"q{index % 20}",
-        response="A",
-        ts=float(index),
+    return event(
+        "answer", f"s{index % 50}", "bench", f"q{index % 20}", "A",
+        float(index),
     )
 
 

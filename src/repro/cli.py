@@ -481,8 +481,6 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    import signal
-
     from repro.core.errors import AssessmentError
     from repro.server.app import ExamServer
 
@@ -508,16 +506,31 @@ def _cmd_serve(args) -> int:
         return 2
     if server.recovery_report is not None:
         print(server.recovery_report.summary(), file=sys.stderr)
-    print(f"serving on {server.url}", flush=True)
-    # SIGTERM (what process supervisors send) takes the ^C path: drain
-    # in-flight requests, take the final checkpoint, exit 0
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down (draining in-flight requests)", file=sys.stderr)
-        server.shutdown()
+    server.start()
+    _wait_for_stop(f"serving on {server.url}")
+    # drain in-flight requests, take the final checkpoint, exit 0
+    print("shutting down (draining in-flight requests)", file=sys.stderr)
+    server.shutdown()
     return 0
+
+
+def _wait_for_stop(banner: str) -> None:
+    """Print ``banner`` to stdout, then block until SIGTERM (what process
+    supervisors send) or ^C; the handler is in place before the banner
+    tells a client the server is up."""
+    import signal
+    import threading
+
+    stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    print(banner, flush=True)
+    try:
+        # Event.wait in a loop: a bare wait() can sit in an
+        # uninterruptible futex and miss the signal handler's set()
+        while not stop.wait(0.5):
+            pass
+    except KeyboardInterrupt:
+        pass
 
 
 def _server_options(args) -> dict:
@@ -553,21 +566,8 @@ def _serve_cluster(args) -> int:
             print(
                 f"  {shard}: {cluster.worker_url(shard)}", file=sys.stderr
             )
-        print(
-            f"serving on {cluster.url} ({args.workers} workers)", flush=True
-        )
-        try:
-            import signal as signal_module
-            import threading as threading_module
-
-            stop = threading_module.Event()
-            signal_module.signal(
-                signal_module.SIGTERM, lambda *_: stop.set()
-            )
-            while not stop.wait(0.5):
-                pass
-        except KeyboardInterrupt:
-            print("shutting down workers", file=sys.stderr)
+        _wait_for_stop(f"serving on {cluster.url} ({args.workers} workers)")
+        print("shutting down workers", file=sys.stderr)
     finally:
         cluster.stop()
     return 0

@@ -15,13 +15,15 @@
    :class:`~repro.server.app.ExamServer` listening on its direct port
    *and* the shared front port (both ``SO_REUSEPORT``), and serves
    until SIGTERM.
-3. **Watch them.**  A watchdog thread restarts any worker that dies.
-   The replacement re-binds the same ports and replays the shard's WAL,
-   so a SIGKILL costs one shard a recovery window — during which its
-   peers answer ``503 shard_unavailable`` + ``Retry-After`` for its
-   learners — and nothing else.  A worker whose recovery refuses its
-   WAL exits :data:`RECOVERY_REFUSED` and is not restarted: a replay
-   of the same bytes would fail the same way.
+3. **Watch them.**  A worker that exits before every worker is ready
+   fails :meth:`ExamCluster.start`.  From then on a watchdog thread
+   restarts any worker that dies.  The replacement re-binds the same
+   ports and replays the shard's WAL, so a SIGKILL costs one shard a
+   recovery window — during which its peers answer
+   ``503 shard_unavailable`` + ``Retry-After`` for its learners — and
+   nothing else.  A worker whose recovery refuses its WAL exits
+   :data:`RECOVERY_REFUSED` and is not restarted: a replay of the same
+   bytes would fail the same way.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class ExamCluster:
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
-        # checked here: a worker that fails at boot is restarted for ever
+        # checked here, before any worker forks
         if server_options.get("readmodel") and wal_root is None:
             raise ValueError(
                 "readmodel=True needs per-shard WALs to tail; pass wal_root"
@@ -172,20 +174,23 @@ class ExamCluster:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ExamCluster":
-        """Fork every worker, start the watchdog, wait until all ready."""
+        """Fork every worker, wait until all are ready, then start the
+        watchdog.  When one fails to become ready, stop the workers and
+        re-raise: restarting a worker that never booted would fail the
+        same way."""
         if self._processes:
             raise RuntimeError("cluster already started")
         for shard in self.shards:
             self._spawn(shard)
-        self._watch_thread = threading.Thread(
-            target=self._watch, name="mine-assess-watchdog", daemon=True
-        )
-        self._watch_thread.start()
         try:
             self.wait_ready()
         except BaseException:
             self.stop()
             raise
+        self._watch_thread = threading.Thread(
+            target=self._watch, name="mine-assess-watchdog", daemon=True
+        )
+        self._watch_thread.start()
         return self
 
     def _spawn(self, shard: str) -> None:
@@ -213,16 +218,16 @@ class ExamCluster:
     def wait_ready(self, timeout: float = 30.0) -> None:
         """Block until every worker's direct /healthz answers 200.
 
-        Raises :class:`~repro.core.errors.StoreError` at once when a
-        worker exits :data:`RECOVERY_REFUSED` instead."""
+        Raises :class:`~repro.core.errors.StoreError`, naming the shard
+        and its exit code, at once when a worker exits instead."""
         deadline = time.monotonic() + timeout
         for shard in self.shards:
             while not self._probe(shard):
                 code = self._processes[shard].exitcode
-                if code == RECOVERY_REFUSED:
+                if code is not None:
                     raise StoreError(
                         f"worker {shard} exited with code {code} before "
-                        f"it was ready: its WAL was refused at recovery"
+                        f"it was ready"
                     )
                 if time.monotonic() > deadline:
                     raise TimeoutError(

@@ -9,11 +9,11 @@ and whether the response needs manual grading (essays, questionnaires).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.errors import ResponseError
 
-__all__ = ["ScoredResponse"]
+__all__ = ["ScoredResponse", "scored_to_dict"]
 
 
 @dataclass(frozen=True)
@@ -78,3 +78,15 @@ class ScoredResponse:
             needs_manual_grading=True,
             selected=selected,
         )
+
+
+def scored_to_dict(score: ScoredResponse) -> Dict[str, object]:
+    """A :class:`ScoredResponse` as a JSON-compatible dict (served, and
+    stored in checkpoints)."""
+    return {
+        "points": score.points,
+        "max_points": score.max_points,
+        "correct": score.correct,
+        "needs_manual_grading": score.needs_manual_grading,
+        "selected": score.selected,
+    }

@@ -8,7 +8,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.core.errors import DuplicateIdError, NotFoundError
 
-__all__ = ["Learner", "LearnerRegistry"]
+__all__ = ["Learner", "LearnerRegistry", "learner_to_dict"]
 
 
 @dataclass
@@ -40,6 +40,18 @@ class Learner:
             best = self.course_scores.get(course_id)
             if best is None or score_percent > best:
                 self.course_scores[course_id] = score_percent
+
+
+def learner_to_dict(learner: Learner) -> Dict[str, object]:
+    """A :class:`Learner` record as a JSON-compatible dict (served, and
+    stored in checkpoints)."""
+    return {
+        "learner_id": learner.learner_id,
+        "name": learner.name,
+        "email": learner.email,
+        "course_status": dict(learner.course_status),
+        "course_scores": dict(learner.course_scores),
+    }
 
 
 class LearnerRegistry:

@@ -176,16 +176,33 @@ class Lms:
         with self.lock:
             self.journal = journal
 
-    def _emit(self, type_: str, data: Dict[str, object]) -> None:
-        """Append one event to the attached journal (no-op without one).
+    def _emit(self, type_: str, *values: object) -> None:
+        """Append one ``type_`` event of ``values`` (see
+        :func:`repro.store.events.event`) to the attached journal (no-op
+        without one).
 
         Called after the mutation succeeded, while still holding the
         locks that serialized it, so per-sitting LSN order is the
-        authoritative serialization of that sitting's history.  Submits
-        go through :meth:`_write_submit` instead.
+        authoritative serialization of that sitting's history.  Batches
+        and submits go through :meth:`_write_submit` or
+        :meth:`~repro.store.journal.Journal.append_batch` instead.
         """
         if self.journal is not None:
-            self.journal.append(type_, data)
+            self.journal.append(type_, store_events.event(type_, *values))
+
+    def _log(
+        self,
+        kind: EventKind,
+        type_: str,
+        learner_id: str,
+        exam_id: str,
+        now: float,
+    ) -> None:
+        """Track ``kind`` and journal ``type_`` for one learner, exam and
+        instant: the last step of enroll, start, suspend, resume and
+        capture_frame."""
+        self.tracking.record(kind, learner_id, exam_id, now)
+        self._emit(type_, learner_id, exam_id, now)
 
     def _write_submit(self, events: List[Tuple[str, dict]]) -> int:
         """Write ``events``, which end with a ``submit``, to the journal
@@ -227,9 +244,7 @@ class Lms:
             if self.journal is not None:
                 from repro.bank.exambank import exam_to_record
 
-                self._emit(
-                    "offer", store_events.offer_event(exam_to_record(exam))
-                )
+                self._emit("offer", exam_to_record(exam))
 
     def exam(self, exam_id: str) -> Exam:
         """The offered exam with this id; NotFoundError otherwise."""
@@ -249,10 +264,7 @@ class Lms:
         with self.lock:
             self.learners.register(learner)
             self._emit(
-                "register",
-                store_events.register_event(
-                    learner.learner_id, learner.name, learner.email
-                ),
+                "register", learner.learner_id, learner.name, learner.email
             )
 
     def enroll(self, learner_id: str, exam_id: str) -> None:
@@ -263,13 +275,7 @@ class Lms:
             exam = self.exam(exam_id)
             learner_id, exam_id = learner.learner_id, exam.exam_id
             self._enrollment[exam_id].add(learner_id)
-            self.tracking.record(
-                EventKind.ENROLLED, learner_id, exam_id, now
-            )
-            self._emit(
-                "enroll",
-                store_events.lifecycle_event(learner_id, exam_id, now),
-            )
+            self._log(EventKind.ENROLLED, "enroll", learner_id, exam_id, now)
 
     def enrolled(self, exam_id: str) -> List[str]:
         """Sorted learner ids enrolled in an exam."""
@@ -376,12 +382,10 @@ class Lms:
             self._install_calibration(exam_id, int(version), parameters)
             self._emit(
                 "calibrate",
-                store_events.calibrate_event(
-                    exam_id,
-                    int(version),
-                    online.parameters_to_record(parameters),
-                    now,
-                ),
+                exam_id,
+                int(version),
+                online.parameters_to_record(parameters),
+                now,
             )
         obs.count("lms.calibrations.applied")
 
@@ -431,13 +435,8 @@ class Lms:
             )
         session = ExamSession(exam, learner_id, clock=self.clock)
         sitting = self._open_sitting(session, learner, session.start(now))
-        self.tracking.record(
-            EventKind.LAUNCHED, learner_id, exam_id, now
-        )
         self.monitor.poll(learner_id, exam_id, session.elapsed_seconds(now))
-        self._emit(
-            "start", store_events.lifecycle_event(learner_id, exam_id, now)
-        )
+        self._log(EventKind.LAUNCHED, "start", learner_id, exam_id, now)
         return sitting
 
     def _open_sitting(
@@ -527,12 +526,7 @@ class Lms:
             (scored,) = self._record_answers(
                 sitting, [(item_id, response)], now
             )
-            self._emit(
-                "answer",
-                store_events.answer_event(
-                    learner_id, exam_id, item_id, response, now
-                ),
-            )
+            self._emit("answer", learner_id, exam_id, item_id, response, now)
         return scored
 
     def answer_batch(
@@ -594,8 +588,12 @@ class Lms:
             scored = self._record_answers(sitting, pairs, now, numbered=True)
             batch = (
                 "answers",
-                store_events.answer_batch_event(
-                    learner_id, exam_id, pairs, now
+                store_events.event(
+                    "answers",
+                    learner_id,
+                    exam_id,
+                    [[item_id, response] for item_id, response in pairs],
+                    now,
                 ),
             )
             graded = None
@@ -673,13 +671,7 @@ class Lms:
             now = self.clock.now()
             sitting.session.suspend(now)
             self._cmi_suspend(sitting)
-            self.tracking.record(
-                EventKind.SUSPENDED, learner_id, exam_id, now
-            )
-            self._emit(
-                "suspend",
-                store_events.lifecycle_event(learner_id, exam_id, now),
-            )
+            self._log(EventKind.SUSPENDED, "suspend", learner_id, exam_id, now)
 
     def _cmi_suspend(self, sitting: LmsSitting) -> None:
         """Commit the SCORM suspend exit (live path and snapshot restore)."""
@@ -699,12 +691,8 @@ class Lms:
                 learner_id, exam_id = sitting.learner_id, sitting.exam_id
                 now = self.clock.now()
                 sitting.session.resume(now)
-                self.tracking.record(
-                    EventKind.RESUMED, learner_id, exam_id, now
-                )
-                self._emit(
-                    "resume",
-                    store_events.lifecycle_event(learner_id, exam_id, now),
+                self._log(
+                    EventKind.RESUMED, "resume", learner_id, exam_id, now
                 )
         obs.count("lms.sittings.resumed")
 
@@ -749,8 +737,8 @@ class Lms:
                     detail=f"{graded.percent:.1f}%",
                 )
                 self._cohorts[exam_id].fold(learner_id, graded.scores)
-                submitted = store_events.lifecycle_event(
-                    learner_id, exam_id, now
+                submitted = store_events.event(
+                    "submit", learner_id, exam_id, now
                 )
                 lsn = self._write_submit([*events, ("submit", submitted)])
             if lsn:
@@ -786,12 +774,9 @@ class Lms:
                 frame = self.monitor.capture(
                     learner_id, exam_id, sitting.session.elapsed_seconds(now)
                 )
-                self.tracking.record(
-                    EventKind.MONITOR_CAPTURE, learner_id, exam_id, now
-                )
-                self._emit(
-                    "monitor",
-                    store_events.lifecycle_event(learner_id, exam_id, now),
+                self._log(
+                    EventKind.MONITOR_CAPTURE, "monitor", learner_id,
+                    exam_id, now,
                 )
         obs.count("lms.frames.captured")
         return frame

@@ -44,8 +44,8 @@ from repro.bank.exambank import exam_from_record, exam_to_record
 from repro.delivery.clock import OffsetClock
 from repro.delivery.scoring import GradedSitting
 from repro.delivery.session import ExamSession
-from repro.items.responses import ScoredResponse
-from repro.lms.learners import Learner
+from repro.items.responses import ScoredResponse, scored_to_dict
+from repro.lms.learners import Learner, learner_to_dict
 from repro.lms.lms import Lms
 from repro.lms.monitor import ExamMonitor
 from repro.lms.tracking import EventKind
@@ -63,16 +63,6 @@ __all__ = [
 _FORMAT = "mine-lms-v1"
 #: the one snapshot encoding: compact separators keep the C encoder
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _scored_to_record(score: ScoredResponse) -> Dict[str, object]:
-    return {
-        "points": score.points,
-        "max_points": score.max_points,
-        "correct": score.correct,
-        "needs_manual_grading": score.needs_manual_grading,
-        "selected": score.selected,
-    }
 
 
 def _scored_from_record(record: Dict[str, object]) -> ScoredResponse:
@@ -150,17 +140,6 @@ def collect_payload(lms: Lms) -> Dict[str, object]:
     immutable, so mutations after the lock is released never reach it.
     """
     with lms.lock:
-        learners: List[Dict[str, object]] = []
-        for learner in lms.learners:
-            learners.append(
-                {
-                    "learner_id": learner.learner_id,
-                    "name": learner.name,
-                    "email": learner.email,
-                    "course_status": dict(learner.course_status),
-                    "course_scores": dict(learner.course_scores),
-                }
-            )
         results: Dict[str, List[Dict[str, object]]] = {}
         for exam_id in lms.offered_exams():
             sittings = []
@@ -171,7 +150,7 @@ def collect_payload(lms: Lms) -> Dict[str, object]:
                         "duration_seconds": sitting.duration_seconds,
                         "answer_times": list(sitting.answer_times),
                         "scores": {
-                            item_id: _scored_to_record(score)
+                            item_id: scored_to_dict(score)
                             for item_id, score in sitting.scores.items()
                         },
                     }
@@ -219,7 +198,7 @@ def collect_payload(lms: Lms) -> Dict[str, object]:
                 exam_to_record(lms.exam(e)) for e in lms.offered_exams()
             ],
             "calibrations": calibrations,
-            "learners": learners,
+            "learners": [learner_to_dict(learner) for learner in lms.learners],
             "enrollment": {
                 exam_id: sorted(lms.enrolled(exam_id))
                 for exam_id in lms.offered_exams()

@@ -33,9 +33,6 @@ Usage::
     print(server.url)                  # http://127.0.0.1:<port>
     ...
     server.shutdown()                  # drain + close
-
-or ``server.serve_forever()`` to own the calling thread (the CLI's
-``mine-assess serve`` does this).
 """
 
 from __future__ import annotations
@@ -375,8 +372,6 @@ class ExamServer:
         self._extra_httpds: list = []
         self._extra_threads: list = []
         self._thread: Optional[threading.Thread] = None
-        #: True once the main accept loop was started (either way)
-        self._serving = False
         self._checkpoint_stop = threading.Event()
         self._checkpoint_thread: Optional[threading.Thread] = None
         self._shut_down = False
@@ -407,14 +402,24 @@ class ExamServer:
         port: every worker binds it, the kernel spreads incoming
         connections across them, and requests that land on the wrong
         worker are proxied by the cluster hook in the dispatch path.
-        Must be called before :meth:`start` / :meth:`serve_forever`.
+        Must be called before :meth:`start`.
         """
         if self._thread is not None:
             raise RuntimeError("server already started")
         front = _Http((self.host, port), self, reuse_port=True)
         self._extra_httpds.append(front)
 
-    def _start_extra_listeners(self) -> None:
+    def start(self) -> "ExamServer":
+        """Serve in a background thread; returns self for chaining."""
+        if self._thread is not None:
+            raise RuntimeError("server already started")
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name="mine-assess-server",
+            daemon=True,
+        )
+        self._thread.start()
         for index, httpd in enumerate(self._extra_httpds):
             thread = threading.Thread(
                 target=httpd.serve_forever,
@@ -424,38 +429,10 @@ class ExamServer:
             )
             thread.start()
             self._extra_threads.append(thread)
-
-    def start(self) -> "ExamServer":
-        """Serve in a background thread; returns self for chaining."""
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        self._serving = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="mine-assess-server",
-            daemon=True,
-        )
-        self._thread.start()
-        self._start_extra_listeners()
         self._start_checkpointing()
         if self.readmodel is not None:
             self.readmodel.start()
         return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread (the CLI path); blocks."""
-        self._start_extra_listeners()
-        self._start_checkpointing()
-        if self.readmodel is not None:
-            self.readmodel.start()
-        try:
-            self._serving = True
-            self._httpd.serve_forever(poll_interval=0.05)
-        finally:
-            self._stop_checkpointing()
-            if self.readmodel is not None:
-                self.readmodel.close()
 
     def shutdown(self, drain_timeout: Optional[float] = 10.0) -> bool:
         """Stop accepting, drain in-flight requests, release the socket.
@@ -471,12 +448,14 @@ class ExamServer:
         # stop the accept loops, refusing new connections; only loops
         # that were started, since socketserver's shutdown() waits for
         # its loop to answer and an unstarted one never would
-        if self._serving:
+        if self._thread is not None:
             self._httpd.shutdown()
         for httpd, _ in zip(self._extra_httpds, self._extra_threads):
             httpd.shutdown()
         drained = self.in_flight.wait_idle(drain_timeout)
-        self._stop_checkpointing()
+        self._checkpoint_stop.set()
+        if self._checkpoint_thread is not None:
+            self._checkpoint_thread.join(timeout=5.0)
         if self.checkpointer is not None:
             # a clean exit leaves a checkpoint covering the whole log,
             # so the next boot replays (almost) nothing
@@ -583,7 +562,6 @@ class ExamServer:
         if (
             self.checkpointer is None
             or self.checkpoint_interval_seconds is None
-            or self._checkpoint_thread is not None
         ):
             return
         interval = float(self.checkpoint_interval_seconds)
@@ -606,12 +584,6 @@ class ExamServer:
             target=loop, name="mine-assess-checkpoints", daemon=True
         )
         self._checkpoint_thread.start()
-
-    def _stop_checkpointing(self) -> None:
-        self._checkpoint_stop.set()
-        if self._checkpoint_thread is not None:
-            self._checkpoint_thread.join(timeout=5.0)
-            self._checkpoint_thread = None
 
     # -- context-manager sugar ------------------------------------------------
 

@@ -7,7 +7,9 @@ and get one 400 ``bad_request`` shape for every malformed payload
 
 Response side: plain functions turning the library's dataclasses
 (:class:`~repro.delivery.scoring.GradedSitting`, …) into JSON-compatible
-dicts.  :func:`analysis_to_dict` is re-exported from
+dicts.  :func:`scored_to_dict` and :func:`learner_to_dict` are
+re-exported from the modules of their dataclasses, since checkpoints
+store the same records; :func:`analysis_to_dict` is re-exported from
 :mod:`repro.core.export`, which renders the §4 report's questions with
 it — the loadgen differential test compares the server's rendering of
 ``live_analysis`` against a local ``analyze_cohort`` run through this
@@ -22,8 +24,8 @@ from typing import Dict, Type
 
 from repro.core.export import analysis_to_dict
 from repro.delivery.scoring import GradedSitting
-from repro.items.responses import ScoredResponse
-from repro.lms.learners import Learner
+from repro.items.responses import scored_to_dict
+from repro.lms.learners import learner_to_dict
 from repro.server.errors import ApiError
 
 __all__ = [
@@ -140,17 +142,6 @@ class BodySpec:
 # -- response serialization --------------------------------------------------
 
 
-def scored_to_dict(score: ScoredResponse) -> Dict[str, object]:
-    """A :class:`ScoredResponse` as a JSON-compatible dict."""
-    return {
-        "points": score.points,
-        "max_points": score.max_points,
-        "correct": score.correct,
-        "needs_manual_grading": score.needs_manual_grading,
-        "selected": score.selected,
-    }
-
-
 def graded_to_dict(graded: GradedSitting) -> Dict[str, object]:
     """A :class:`GradedSitting` as a JSON-compatible dict."""
     return {
@@ -166,15 +157,4 @@ def graded_to_dict(graded: GradedSitting) -> Dict[str, object]:
             item_id: scored_to_dict(score)
             for item_id, score in graded.scores.items()
         },
-    }
-
-
-def learner_to_dict(learner: Learner) -> Dict[str, object]:
-    """A :class:`Learner` record as a JSON-compatible dict."""
-    return {
-        "learner_id": learner.learner_id,
-        "name": learner.name,
-        "email": learner.email,
-        "course_status": dict(learner.course_status),
-        "course_scores": dict(learner.course_scores),
     }

@@ -1,11 +1,12 @@
 """The supervisor's watchdog: which dead workers it restarts.
 
-A worker whose recovery refuses its shard's WAL exits 2, as
-``serve --wal-dir`` does, and is never restarted: replaying the same
-bytes would fail the same way.  Before it is ready, that exit fails
-``ExamCluster.start()`` at once.  Any other death (SIGKILL, exit 1) is
-restarted.  The flaky workers below wrap the real ``_worker_main``;
-workers are forked, so they run the patched module attribute.
+Before every worker is ready, any worker exit fails
+``ExamCluster.start()`` at once.  After that, a worker whose recovery
+refuses its shard's WAL exits 2, as ``serve --wal-dir`` does, and is
+never restarted: replaying the same bytes would fail the same way.  Any
+other death (SIGKILL, exit 1) is restarted.  The flaky workers below
+wrap the real ``_worker_main``; workers are forked, so they run the
+patched module attribute.
 """
 
 import shutil
@@ -90,16 +91,38 @@ class TestRefusedRecovery:
 
 class TestOtherDeaths:
     def test_a_worker_that_exits_1_is_restarted(self, tmp_path, monkeypatch):
-        crashed = tmp_path / "crashed"
+        """shard-1 boots, is SIGKILLed, and its first restart exits 1:
+        the watchdog restarts it again."""
+        boots = tmp_path / "boots"
+        boots.mkdir()
         real = supervisor._worker_main
 
-        def crashes_once(cluster, shard):
-            if shard == "shard-1" and not crashed.exists():
-                crashed.touch()
-                sys.exit(1)
+        def crashes_on_first_restart(cluster, shard):
+            if shard == "shard-1":
+                boot = len(list(boots.iterdir()))
+                (boots / str(boot)).touch()
+                if boot == 1:
+                    sys.exit(1)
             real(cluster, shard)
 
-        monkeypatch.setattr(supervisor, "_worker_main", crashes_once)
+        monkeypatch.setattr(
+            supervisor, "_worker_main", crashes_on_first_restart
+        )
         with ExamCluster(workers=2) as cluster:
-            assert crashed.exists()
-            assert cluster.restarts == {"shard-0": 0, "shard-1": 1}
+            cluster.kill_worker("shard-1", signal.SIGKILL)
+            wait_for(
+                lambda: len(list(boots.iterdir())) == 3
+                and cluster._probe("shard-1")
+            )
+            assert cluster.restarts == {"shard-0": 0, "shard-1": 2}
+
+    def test_an_exit_before_ready_fails_start_at_once(self, tmp_path):
+        # a regular file where shard-0's WAL directory belongs: the
+        # worker's Journal.open raises FileExistsError and it exits 1
+        (tmp_path / "shard-0").touch()
+        cluster = ExamCluster(workers=2, wal_root=tmp_path)
+        began = time.monotonic()
+        with pytest.raises(StoreError, match="shard-0 exited with code 1"):
+            cluster.start()
+        assert time.monotonic() - began < 10
+        assert cluster.restarts == {"shard-0": 0, "shard-1": 0}

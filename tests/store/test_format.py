@@ -61,20 +61,20 @@ PINNED_FIELDS = {
     "calibrate": ("exam_id", "version", "parameters", "ts"),
 }
 
-#: one payload per event type, as the LMS's builders make them
+#: one payload per event type, as ``events.event`` binds them
 BUILT = {
-    "offer": events.offer_event({"exam_id": "ex1", "items": []}),
-    "register": events.register_event("amy", "Amy", "amy@example.org"),
-    "answer": events.answer_event("amy", "ex1", "q1", "B", 2.5),
-    "answers": events.answer_batch_event(
-        "amy", "ex1", [("q1", "B"), ("q2", ["A", "C"])], 3.5
+    "offer": events.event("offer", {"exam_id": "ex1", "items": []}),
+    "register": events.event("register", "amy", "Amy", "amy@example.org"),
+    "answer": events.event("answer", "amy", "ex1", "q1", "B", 2.5),
+    "answers": events.event(
+        "answers", "amy", "ex1", [["q1", "B"], ["q2", ["A", "C"]]], 3.5
     ),
-    "calibrate": events.calibrate_event(
-        "ex1", 2, {"q1": {"a": 1.2, "b": -0.5, "c": 0.0}}, 4.5
+    "calibrate": events.event(
+        "calibrate", "ex1", 2, {"q1": {"a": 1.2, "b": -0.5, "c": 0.0}}, 4.5
     ),
 }
 for _type in ("enroll", "start", "suspend", "resume", "submit", "monitor"):
-    BUILT[_type] = events.lifecycle_event("amy", "ex1", 1.5)
+    BUILT[_type] = events.event(_type, "amy", "ex1", 1.5)
 
 json_values = st.recursive(
     st.none()
@@ -337,8 +337,8 @@ class TestCodeForm:
         """The whole classroom answer record — length, CRC and body — at
         a two-byte LSN, as ``bytes_appended`` counts it (98 B in the
         fallback form)."""
-        event = events.answer_event(
-            "sim-0000", "classroom-mid", "q01", "B", 1234.567
+        event = events.event(
+            "answer", "sim-0000", "classroom-mid", "q01", "B", 1234.567
         )
         with Journal.open(tmp_path, fsync="never") as journal:
             for _ in range(200):

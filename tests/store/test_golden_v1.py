@@ -35,7 +35,7 @@ from repro.store import (
     segment_first_lsn,
     state_fingerprint,
 )
-from repro.store.events import register_event
+from repro.store.events import event
 
 
 def load(name):
@@ -239,7 +239,7 @@ def test_an_empty_v1_tail_never_shadows_its_successor(
     (wal / f"wal-{last + 1:020d}.jsonl").write_bytes(b"")
     with Journal.open(wal, fsync="never") as journal:
         assert journal.last_lsn == last
-        assert journal.append("register", register_event("x", "X", "")) == (
+        assert journal.append("register", event("register", "x", "X", "")) == (
             last + 1
         )
     listing = Path.iterdir
@@ -250,7 +250,7 @@ def test_an_empty_v1_tail_never_shadows_its_successor(
     )
     with Journal.open(wal, fsync="never") as journal:
         assert journal.last_lsn == last + 1
-        assert journal.append("register", register_event("y", "Y", "")) == (
+        assert journal.append("register", event("register", "y", "Y", "")) == (
             last + 2
         )
     assert [p.suffix for p in segment_files(wal)[-2:]] == [".jsonl", ".walb"]
@@ -282,7 +282,7 @@ def test_a_tailer_passes_two_empty_segments_with_one_first_lsn(wal):
     assert not worker.is_alive(), "poll() did not return"
     assert [r.lsn for r in polled[0]] == list(range(1, last + 1))
     with Journal.open(wal, fsync="never") as journal:
-        assert journal.append("register", register_event("x", "X", "")) == (
+        assert journal.append("register", event("register", "x", "X", "")) == (
             last + 1
         )
     assert [r.lsn for r in tailer.poll()] == [last + 1]

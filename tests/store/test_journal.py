@@ -19,7 +19,7 @@ import pytest
 from v1log import FORMATS, GOLDEN_V1, V1Log, encode_v1_record, open_log
 
 from repro.core.errors import JournalCorruptError, StoreError
-from repro.store.events import register_event
+from repro.store.events import event
 from repro.store.format import SEGMENT_HEADER_LEN, segment_header
 from repro.store.journal import (
     FSYNC_POLICIES,
@@ -500,7 +500,9 @@ class TestHeaderVersions:
             for index in range(6):
                 if index == 3:
                     journal.rotate()
-                journal.append("register", register_event(f"l{index}", "", ""))
+                journal.append(
+                    "register", event("register", f"l{index}", "", "")
+                )
         segments = segment_files(tmp_path)
         assert len(segments) == 2
         return segments[-1]
@@ -546,7 +548,8 @@ class TestHeaderVersions:
         assert recover(tmp_path).torn_bytes == SEGMENT_HEADER_LEN
         with Journal.open(tmp_path, fsync="never") as journal:
             assert journal.repaired_bytes == SEGMENT_HEADER_LEN
-            assert journal.append("register", register_event("z", "", "")) == 4
+            registered = event("register", "z", "", "")
+            assert journal.append("register", registered) == 4
         assert tail.read_bytes()[:SEGMENT_HEADER_LEN] == segment_header()
         assert [r.lsn for r in read_records(tmp_path)] == [1, 2, 3, 4]
 
@@ -555,7 +558,8 @@ class TestHeaderVersions:
         sealed = self.set_version(tail, 2)
         with Journal.open(tmp_path, fsync="never") as journal:
             assert journal.repaired_bytes == 0
-            assert journal.append("register", register_event("z", "", "")) == 7
+            registered = event("register", "z", "", "")
+            assert journal.append("register", registered) == 7
         segments = segment_files(tmp_path)
         assert [p.read_bytes()[4] for p in segments] == [3, 2, 3]
         assert segments[1].read_bytes() == sealed
@@ -568,7 +572,8 @@ class TestHeaderVersions:
         tail = tmp_path / "wal-00000000000000000001.walb"
         tail.write_bytes(segment_header(version=2))
         with Journal.open(tmp_path, fsync="never") as journal:
-            assert journal.append("register", register_event("a", "", "")) == 1
+            registered = event("register", "a", "", "")
+            assert journal.append("register", registered) == 1
         assert segment_files(tmp_path) == [tail]
         assert tail.read_bytes()[:SEGMENT_HEADER_LEN] == segment_header()
         assert [r.lsn for r in read_records(tmp_path)] == [1]

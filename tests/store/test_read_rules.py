@@ -19,7 +19,7 @@ from v1log import FORMATS, open_log
 
 from repro.core.errors import JournalCorruptError
 from repro.readmodel import as_of, rebuild
-from repro.store.events import register_event
+from repro.store.events import event
 from repro.store.journal import (
     Journal,
     read_records,
@@ -32,7 +32,7 @@ from repro.store.tail import JournalTailer, TailTruncatedError
 
 def register(journal, count):
     for index in range(count):
-        journal.append("register", register_event(f"l{index}", "", ""))
+        journal.append("register", event("register", f"l{index}", "", ""))
 
 
 def tail_all(wal):

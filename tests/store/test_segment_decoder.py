@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from v1log import FORMATS, open_log
 
 from repro.core.errors import JournalCorruptError
-from repro.store.events import answer_event, lifecycle_event
+from repro.store.events import event
 from repro.store.format import segment_header
 from repro.store.journal import Journal, scan_segment, segment_files
 from repro.store.tail import JournalTailer
@@ -38,12 +38,13 @@ events = st.one_of(
     ),
     st.tuples(
         st.sampled_from(["enroll", "start", "submit"]),
-        st.builds(lifecycle_event, texts, texts, stamps),
+        st.builds(event, st.just("start"), texts, texts, stamps),
     ),
     st.tuples(
         st.just("answer"),
         st.builds(
-            answer_event,
+            event,
+            st.just("answer"),
             texts,
             texts,
             texts,

@@ -255,11 +255,11 @@ class TestServe:
 
     def test_a_wal_that_recovery_refuses_exits_2(self, tmp_path, capsys):
         from repro.store import Journal, segment_files
-        from repro.store.events import register_event
+        from repro.store.events import event
 
         wal_dir = tmp_path / "wal"
         with Journal.open(wal_dir, fsync="never") as journal:
-            journal.append("register", register_event("amy", "Amy", ""))
+            journal.append("register", event("register", "amy", "Amy", ""))
         (segment,) = segment_files(wal_dir)
         raw = bytearray(segment.read_bytes())
         raw[4:6] = (99).to_bytes(2, "little")  # a newer build's header
