@@ -28,29 +28,18 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.ring import HashRing
 from repro.server.errors import ApiError
 
-__all__ = ["ClusterContext", "ROUTE_AFFINITY"]
+__all__ = ["ClusterContext"]
 
 #: what a 503 for an unreachable shard tells clients to wait (seconds)
 SHARD_RETRY_AFTER_SECONDS = 1
 #: socket timeout of one exchange with a peer's direct port (seconds)
 PEER_TIMEOUT_SECONDS = 10.0
 
-#: route name -> where its learner id lives (``params`` or ``body``).
-#: Routes absent from this table have no learner affinity and are
-#: served wherever they land.
-ROUTE_AFFINITY: Dict[str, Tuple[str, str]] = {
-    "learners.register": ("body", "learner_id"),
-    "learners.get": ("params", "learner_id"),
-    "enrollments.create": ("body", "learner_id"),
-    "sittings.start": ("params", "learner_id"),
-    "sittings.answer": ("params", "learner_id"),
-    "sittings.next_item": ("params", "learner_id"),
-    "sittings.answers_batch": ("params", "learner_id"),
-    "sittings.suspend": ("params", "learner_id"),
-    "sittings.resume": ("params", "learner_id"),
-    "sittings.submit": ("params", "learner_id"),
-    "sittings.status": ("params", "learner_id"),
-}
+
+def split_url(url: str) -> Tuple[str, int]:
+    """``(host, port)`` of an ``http://host:port`` URL."""
+    host, _, port = url.rpartition("//")[2].partition(":")
+    return host, int(port)
 
 
 class ClusterContext:
@@ -59,17 +48,13 @@ class ClusterContext:
     def __init__(
         self,
         shard: str,
-        ring: HashRing,
         direct_urls: Dict[str, str],
         front_url: Optional[str] = None,
     ) -> None:
-        if shard not in ring:
-            raise ValueError(f"shard {shard!r} is not on the ring")
-        missing = [name for name in ring.shards if name not in direct_urls]
-        if missing:
-            raise ValueError(f"no direct url for shards {missing}")
+        if shard not in direct_urls:
+            raise ValueError(f"no direct url for shard {shard!r}")
         self.shard = shard
-        self.ring = ring
+        self.ring = HashRing(direct_urls)
         self.direct_urls = dict(direct_urls)
         self.front_url = front_url
 
@@ -86,19 +71,15 @@ class ClusterContext:
     def owner_for(
         self, route_name: str, params: Dict[str, str], body: object
     ) -> Optional[str]:
-        """The owning shard of a request, or None when it has no
-        learner affinity (or the affinity field is absent/malformed —
-        the local handler then produces the proper 400)."""
-        affinity = ROUTE_AFFINITY.get(route_name)
-        if affinity is None:
+        """The shard owning the ``learner_id`` in a request's path, else
+        in its JSON object body.  None for ``internal.*`` peer legs and
+        when no non-empty string id is present (the local handler then
+        produces the proper 400)."""
+        if route_name.startswith("internal."):
             return None
-        source, field = affinity
-        if source == "params":
-            learner_id = params.get(field)
-        else:
-            learner_id = (
-                body.get(field) if isinstance(body, dict) else None
-            )
+        learner_id = params.get("learner_id")
+        if learner_id is None and isinstance(body, dict):
+            learner_id = body.get("learner_id")
         if not isinstance(learner_id, str) or not learner_id:
             return None
         return self.owner(learner_id)
@@ -118,10 +99,9 @@ class ClusterContext:
         failures become ``503 shard_unavailable``: the shard is down or
         restarting, and the caller's client should retry shortly.
         """
-        url = self.direct_urls[shard]
-        host, _, port = url.rpartition("//")[2].partition(":")
+        host, port = split_url(self.direct_urls[shard])
         connection = http.client.HTTPConnection(
-            host, int(port), timeout=PEER_TIMEOUT_SECONDS
+            host, port, timeout=PEER_TIMEOUT_SECONDS
         )
         try:
             headers = {"Content-Type": "application/json"}

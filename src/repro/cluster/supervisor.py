@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.context import ClusterContext
-from repro.cluster.ring import HashRing
 from repro.core.errors import AssessmentError, StoreError
 
 __all__ = ["ExamCluster"]
@@ -63,10 +62,7 @@ def _worker_main(cluster: "ExamCluster", shard: str) -> None:
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # parent owns ^C
     urls = {name: cluster.worker_url(name) for name in cluster.shards}
-    context = ClusterContext(
-        shard=shard, ring=HashRing(urls), direct_urls=urls,
-        front_url=cluster.url,
-    )
+    context = ClusterContext(shard, urls, front_url=cluster.url)
     root = cluster.wal_root
     try:
         server = ExamServer(
@@ -74,13 +70,11 @@ def _worker_main(cluster: "ExamCluster", shard: str) -> None:
             port=cluster.direct_ports[shard],
             wal_dir=root / shard if root is not None else None,
             cluster=context,
-            reuse_port=True,
             **cluster.server_options,
         )
     except AssessmentError as exc:  # the WAL that recovery refuses
         print(f"recovery failed: {exc}", file=sys.stderr)
         sys.exit(RECOVERY_REFUSED)
-    server.add_front_listener(cluster.front_port)
     server.start()
     try:
         # Event.wait in a loop: a bare wait() can sit in an

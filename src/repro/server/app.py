@@ -277,15 +277,12 @@ class _Http(ThreadingHTTPServer):
     # ~1 s retransmission timeout
     request_queue_size = 128
 
-    def __init__(
-        self, address, app: "ExamServer", reuse_port: bool = False
-    ) -> None:
-        self._reuse_port = reuse_port
+    def __init__(self, address, app: "ExamServer") -> None:
+        self.app = app  # before the bind, which reads app.cluster
         super().__init__(address, _RequestHandler)
-        self.app = app
 
     def server_bind(self) -> None:
-        if self._reuse_port:
+        if self.app.cluster is not None:
             # sharded tier: several worker processes share one front
             # port; the kernel load-balances accepted connections
             self.socket.setsockopt(
@@ -309,7 +306,6 @@ class ExamServer:
         checkpoint_interval_seconds: Optional[float] = None,
         max_batch_answers: int = 500,
         cluster: Optional[object] = None,
-        reuse_port: bool = False,
         readmodel: bool = False,
     ) -> None:
         # the server counts even when global profiling is off:
@@ -334,6 +330,11 @@ class ExamServer:
             )
             lms.attach_journal(self.journal)
             self.checkpointer = Checkpointer(lms, self.journal)
+            if self.recovery_report is None:
+                # a handed LMS: the WAL holds none of its state, only
+                # what happens to it from here, so a checkpoint gives
+                # those records a base that recovery can replay them onto
+                self.checkpointer.checkpoint()
         #: the analytics follower behind /admin/analytics (``--readmodel``)
         self.readmodel = None
         if readmodel:
@@ -357,7 +358,8 @@ class ExamServer:
         #: the worker's :class:`~repro.cluster.context.ClusterContext`
         #: in a sharded deployment; None for the classic single process.
         #: Fleet routes (see :func:`~repro.server.handlers.build_router`)
-        #: span every shard when this is set.
+        #: span every shard when this is set, and every listener binds
+        #: with ``SO_REUSEPORT``.
         self.cluster = cluster
         #: where ``mine-assess calibrate`` drops parameter snapshots for
         #: this store (scanned at boot and on demand, see
@@ -368,10 +370,14 @@ class ExamServer:
         if self.calibration_dir is not None:
             self.reload_calibration()
         self.checkpoint_interval_seconds = checkpoint_interval_seconds
-        self._httpd = _Http((host, port), self, reuse_port=reuse_port)
-        self._extra_httpds: list = []
-        self._extra_threads: list = []
-        self._thread: Optional[threading.Thread] = None
+        self._listeners = [_Http((host, port), self)]
+        if cluster is not None and cluster.front_url is not None:
+            # the fleet's shared front port, on this listener's host
+            from repro.cluster.context import split_url
+
+            front = (self.host, split_url(cluster.front_url)[1])
+            self._listeners.append(_Http(front, self))
+        self._threads: list = []
         self._checkpoint_stop = threading.Event()
         self._checkpoint_thread: Optional[threading.Thread] = None
         self._shut_down = False
@@ -380,13 +386,13 @@ class ExamServer:
 
     @property
     def host(self) -> str:
-        """The bound host."""
-        return self._httpd.server_address[0]
+        """The bound host (of the first listener)."""
+        return self._listeners[0].server_address[0]
 
     @property
     def port(self) -> int:
         """The bound port (useful with ``port=0``)."""
-        return self._httpd.server_address[1]
+        return self._listeners[0].server_address[1]
 
     @property
     def url(self) -> str:
@@ -395,40 +401,19 @@ class ExamServer:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def add_front_listener(self, port: int) -> None:
-        """Listen on another (``SO_REUSEPORT``) port of the bound host.
-
-        The sharded tier calls this with the cluster's shared front
-        port: every worker binds it, the kernel spreads incoming
-        connections across them, and requests that land on the wrong
-        worker are proxied by the cluster hook in the dispatch path.
-        Must be called before :meth:`start`.
-        """
-        if self._thread is not None:
-            raise RuntimeError("server already started")
-        front = _Http((self.host, port), self, reuse_port=True)
-        self._extra_httpds.append(front)
-
     def start(self) -> "ExamServer":
-        """Serve in a background thread; returns self for chaining."""
-        if self._thread is not None:
+        """Serve each listener in a background thread; returns self."""
+        if self._threads:
             raise RuntimeError("server already started")
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="mine-assess-server",
-            daemon=True,
-        )
-        self._thread.start()
-        for index, httpd in enumerate(self._extra_httpds):
+        for index, httpd in enumerate(self._listeners):
             thread = threading.Thread(
                 target=httpd.serve_forever,
                 kwargs={"poll_interval": 0.05},
-                name=f"mine-assess-front-{index}",
+                name=f"mine-assess-server-{index}",
                 daemon=True,
             )
             thread.start()
-            self._extra_threads.append(thread)
+            self._threads.append(thread)
         self._start_checkpointing()
         if self.readmodel is not None:
             self.readmodel.start()
@@ -448,9 +433,7 @@ class ExamServer:
         # stop the accept loops, refusing new connections; only loops
         # that were started, since socketserver's shutdown() waits for
         # its loop to answer and an unstarted one never would
-        if self._thread is not None:
-            self._httpd.shutdown()
-        for httpd, _ in zip(self._extra_httpds, self._extra_threads):
+        for httpd, _ in zip(self._listeners, self._threads):
             httpd.shutdown()
         drained = self.in_flight.wait_idle(drain_timeout)
         self._checkpoint_stop.set()
@@ -464,12 +447,9 @@ class ExamServer:
             self.readmodel.close()
         if self.journal is not None:
             self.journal.close()
-        self._httpd.server_close()
-        for httpd in self._extra_httpds:
+        for httpd in self._listeners:
             httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-        for thread in self._extra_threads:
+        for thread in self._threads:
             thread.join(timeout=5.0)
         return drained
 

@@ -18,10 +18,14 @@ A pass runs in three steps:
    (:func:`~repro.lms.persistence.collect_payload`), in one critical
    section.  The snapshot so covers *exactly* the records up to its
    stamp, never a torn prefix of a mutation.
-2. With the lock released, :func:`~repro.lms.persistence.save_lms`
-   streams the payload as compact JSON to a temp file, fsyncs it,
-   renames it to ``checkpoint-<lsn>.json`` and fsyncs the directory.
-   Writers proceed meanwhile; their records land above the stamp.
+2. With the lock released, it fsyncs the journal unless the records
+   up to the stamp are durable already (``never`` fsyncs no segment),
+   so a power loss cannot leave the snapshot above the WAL's end.
+   Then :func:`~repro.lms.persistence.save_lms` streams the payload as
+   compact JSON to a temp file, fsyncs it, renames it to
+   ``checkpoint-<lsn>.json`` and fsyncs the directory.  Writers
+   proceed meanwhile; their records land above the stamp, in the
+   segment that so outlives this pass.
 3. Only once the file and its directory entry are durable does it
    rotate the journal, retire covered segments and prune old snapshots,
    so a power loss can never leave history deleted behind a snapshot
@@ -121,6 +125,12 @@ class Checkpointer:
             with self.lms.lock:
                 covered = self.journal.last_lsn
                 payload = collect_payload(self.lms)
+            # the records the snapshot covers reach the disk first
+            if (
+                self.journal.fsync_policy != "never"
+                and self.journal.durable_lsn < covered
+            ):
+                self.journal.sync()
             # writers run again while the snapshot is encoded and made
             # durable; nothing it covers is deleted before that
             directory = self.journal.directory

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro.core.errors import StoreError
 from repro.store import events as store_events
 from repro.store.journal import check_retired, scan_log, segment_files
 
@@ -130,7 +131,10 @@ def recover(wal_dir: "str | Path") -> RecoveryReport:
     attached**; callers that will keep serving open the
     :class:`~repro.store.journal.Journal` afterwards and
     :meth:`~repro.lms.lms.Lms.attach_journal` it — attaching before
-    replay would re-journal every replayed event.  Raises
+    replay would re-journal every replayed event.  A missing
+    ``wal_dir`` is a fresh store.  Raises
+    :class:`~repro.core.errors.StoreError` when ``wal_dir`` exists but
+    is not a directory,
     :class:`~repro.store.journal.TailTruncatedError` when the WAL lacks
     records between the snapshot and its oldest segment, and
     :class:`~repro.core.errors.JournalCorruptError` on damage or a hole.
@@ -142,6 +146,8 @@ def recover(wal_dir: "str | Path") -> RecoveryReport:
     from repro.store.checkpoint import latest_checkpoint
 
     wal_path = Path(wal_dir)
+    if wal_path.exists() and not wal_path.is_dir():
+        raise StoreError(f"WAL directory {wal_path} is not a directory")
     checkpoint_path = latest_checkpoint(wal_path)
     clock = ReplayClock()
     if checkpoint_path is not None:

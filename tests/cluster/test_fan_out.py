@@ -77,10 +77,9 @@ class Fleet:
         server = ExamServer(
             host=HOST,
             port=int(self.urls[shard].rsplit(":", 1)[1]),
-            reuse_port=True,
             wal_dir=self.root / shard,
             readmodel=True,
-            cluster=ClusterContext(shard, self.ring, self.urls),
+            cluster=ClusterContext(shard, self.urls),
         )
         self.servers[shard] = server.start()
 

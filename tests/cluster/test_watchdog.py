@@ -116,10 +116,17 @@ class TestOtherDeaths:
             )
             assert cluster.restarts == {"shard-0": 0, "shard-1": 2}
 
-    def test_an_exit_before_ready_fails_start_at_once(self, tmp_path):
-        # a regular file where shard-0's WAL directory belongs: the
-        # worker's Journal.open raises FileExistsError and it exits 1
-        (tmp_path / "shard-0").touch()
+    def test_an_exit_before_ready_fails_start_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        real = supervisor._worker_main
+
+        def exits_1_at_boot(cluster, shard):
+            if shard == "shard-0":
+                sys.exit(1)
+            real(cluster, shard)
+
+        monkeypatch.setattr(supervisor, "_worker_main", exits_1_at_boot)
         cluster = ExamCluster(workers=2, wal_root=tmp_path)
         began = time.monotonic()
         with pytest.raises(StoreError, match="shard-0 exited with code 1"):

@@ -183,6 +183,38 @@ class TestResume:
         assert stale.model.exam("ex1").submits == 6
         journal.close()
 
+    def test_a_write_during_the_snapshot_keeps_the_follower_history(
+        self, tmp_path, monkeypatch
+    ):
+        """Records the follower has not yet polled, then one written
+        while the checkpoint file is being saved: the pass must not
+        retire the segment holding the unpolled ones."""
+        from repro.lms import persistence
+        from repro.lms.learners import Learner
+        from repro.store import Checkpointer
+
+        journal = Journal.open(tmp_path, fsync="always")
+        lms, clock = journaled_lms(journal)
+        enroll_cohort(lms, ["amy", "bob"])
+        follower = ReadModelService(tmp_path, journal=journal)
+        follower.sync()
+        enroll_cohort(lms, ["cat", "dan"])
+        real_save = persistence.save_lms
+
+        def save_lms(payload, path, wal_lsn):
+            lms.register_learner(Learner(learner_id="eve", name=""))
+            return real_save(payload, path, wal_lsn=wal_lsn)
+
+        monkeypatch.setattr(persistence, "save_lms", save_lms)
+        Checkpointer(lms, journal).checkpoint()
+        follower.sync()
+        assert follower.restarts == 0
+        assert follower.model.applied_lsn == journal.last_lsn
+        assert follower.model.exam("ex1").enrolled == {
+            "amy", "bob", "cat", "dan"
+        }
+        journal.close()
+
 
 def as_json(value):
     return json.dumps(value, sort_keys=True)

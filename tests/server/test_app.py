@@ -8,19 +8,21 @@ all exercised end to end.
 
 import http.client
 import json
+import shutil
 import threading
 import time
 
 import pytest
 
 from repro.bank.exambank import exam_to_record
+from repro.core.errors import StoreError
 from repro.lms.learners import Learner
 from repro.lms.lms import Lms
 from repro.lms.persistence import load_lms
 from repro.lms.tracking import EventKind
 from repro.server.app import ExamServer
 from repro.sim.workloads import classroom_exam
-from repro.store import recover
+from repro.store import recover, state_fingerprint
 
 EXAM_ID = "classroom-mid"
 QUESTIONS = 4
@@ -529,14 +531,21 @@ class TestGracefulShutdown:
     def test_shutdown_of_a_never_started_server_returns(self, tmp_path):
         import socket
 
-        server = ExamServer(seeded_lms(), wal_dir=tmp_path)
-        server.add_front_listener(0)
+        from repro.cluster.context import ClusterContext
+
+        front = ClusterContext(
+            "shard-0", {"shard-0": "http://127.0.0.1:1"},
+            front_url="http://127.0.0.1:0",
+        )
+        server = ExamServer(seeded_lms(), wal_dir=tmp_path, cluster=front)
         host, port = server.host, server.port
         shutter = threading.Thread(target=server.shutdown, daemon=True)
         shutter.start()
         shutter.join(timeout=5)
         assert not shutter.is_alive(), "shutdown hung on an unstarted server"
-        # the drain's other steps still ran: final checkpoint, port freed
+        # the drain's other steps still ran: final checkpoint (after the
+        # handed LMS's boot checkpoint), port freed
+        assert server.checkpointer.checkpoints_taken == 2
         assert list(tmp_path.glob("checkpoint-*.json"))
         with socket.socket() as probe:
             probe.bind((host, port))
@@ -581,6 +590,30 @@ class TestWalDurability:
         assert report.records_replayed == 0
         assert report.lms.offered_exams() == [EXAM_ID]
         assert "zoe" in report.lms.learners.ids()
+
+    def test_a_wal_path_that_is_a_file_is_refused(self, tmp_path):
+        wal = tmp_path / "wal"
+        wal.touch()
+        with pytest.raises(StoreError, match="is not a directory"):
+            ExamServer(wal_dir=wal)
+
+    def test_a_handed_lms_recovers_from_a_killed_copy(self, tmp_path):
+        """The WAL of a server handed a live LMS holds only what happened
+        after boot; the boot checkpoint holds what that applies to.  The
+        copy, taken before any shutdown, is what a SIGKILL leaves."""
+        server = ExamServer(
+            seeded_lms(("amy",)), wal_dir=tmp_path / "wal", fsync="never"
+        )
+        try:
+            server.lms.start_exam("amy", EXAM_ID)
+            server.journal.sync()
+            shutil.copytree(tmp_path / "wal", tmp_path / "killed")
+            recovered = recover(tmp_path / "killed").lms
+            assert state_fingerprint(recovered) == state_fingerprint(
+                server.lms
+            )
+        finally:
+            server.shutdown()
 
     def test_checkpoint_interval_checkpoints_a_growing_log(self, tmp_path):
         server = ExamServer(

@@ -154,6 +154,32 @@ class TestDurableBeforeCompaction:
         assert identity(tmp_path) in synced
         journal.close()
 
+    @pytest.mark.parametrize("fsync", ["interval", "always"])
+    def test_covered_records_are_durable_before_the_snapshot_is_written(
+        self, tmp_path, monkeypatch, fsync
+    ):
+        """A snapshot that reached the disk ahead of the records it
+        covers would, after a power loss, sit above the WAL's end."""
+        from repro.lms import persistence
+
+        journal = Journal.open(tmp_path, fsync=fsync)
+        lms, _ = journaled_lms(journal)
+        for index in range(10):
+            lms.register_learner(Learner(learner_id=f"l{index}", name=""))
+        written = []
+        real_save = persistence.save_lms
+
+        def save_lms(payload, path, wal_lsn):
+            written.append((journal.durable_lsn, wal_lsn))
+            return real_save(payload, path, wal_lsn=wal_lsn)
+
+        monkeypatch.setattr(persistence, "save_lms", save_lms)
+        Checkpointer(lms, journal).checkpoint()
+        ((durable, covered),) = written
+        assert covered == journal.last_lsn == 11
+        assert durable >= covered
+        journal.close()
+
 
 class TestWalGap:
     def build(self, directory):

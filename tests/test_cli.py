@@ -271,6 +271,15 @@ class TestServe:
         )
         assert segment.read_bytes() == bytes(raw)
 
+    def test_a_wal_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        wal = tmp_path / "wal"
+        wal.touch()
+        code = main(["serve", "--port", "0", "--wal-dir", str(wal)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"recovery failed: WAL directory {wal} is not a directory"
+        ]
+
     def test_a_shard_that_recovery_refuses_exits_2(self, tmp_path):
         """serve --workers: the refused shard's worker reports once and
         is not restarted, and serve stops the others and exits 2."""
